@@ -3,8 +3,14 @@
 All layers take batched channel-first input: [B, C, L] for the 1-d
 extractor layers, [B, C, H, W] for the 2-d stack. A layer run in train
 mode keeps a cache for its backward pass; eval-mode forwards are pure and
-cache nothing. Backward returns the input gradient and stores parameter
-gradients on the layer (`grad_*` attributes, exposed via `named_grads`).
+cache nothing. The im2col layers (`Conv1d`, `DilatedConv2d`) cache their
+input `x`, not the patch matrix, which is up to kernel-size times larger:
+backward lowers `x` again with `im2col_batch`. Backward consumes the cache,
+so a second backward without a new train-mode forward raises `StateError`.
+
+Backward returns the input gradient and stores parameter gradients on the
+layer (`grad_*` attributes, exposed via `named_grads`). Convolution weight
+gradients are summed over the batch as 2-D BLAS GEMMs (`_weight_grad`).
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ from .tensor_ops import FLOAT, col2im_batch, conv_output_length, im2col_batch
 
 VAR_FLOOR = 1e-12
 PROB_CLAMP = 1e-12
+# `_weight_grad` folds samples into one GEMM until its inner extent reaches
+# this many columns: below it, the per-call cost of a small GEMM outweighs
+# copying the folded samples.
+GEMM_MIN_COLUMNS = 512
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -30,6 +40,26 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def _weight_grad(grad: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Sum over the batch of ``grad[b] @ cols[b].T``: [B, O, L], [B, J, L] -> [O, J].
+
+    Every product is a plain 2-D GEMM, so BLAS reads `cols` transposed in
+    place. A sample with L >= GEMM_MIN_COLUMNS is one GEMM on views and
+    copies nothing; shorter samples are folded k = GEMM_MIN_COLUMNS // L at
+    a time into one GEMM over copied [O, k*L] and [J, k*L] chunks. The
+    summation order is fixed by the shapes alone, so results repeat bitwise.
+    """
+    b, o, length = grad.shape
+    j = cols.shape[1]
+    fold = max(1, GEMM_MIN_COLUMNS // length)
+    out = np.zeros((o, j), dtype=FLOAT)
+    for s in range(0, b, fold):
+        g = grad[s : s + fold].transpose(1, 0, 2).reshape(o, -1)
+        c = cols[s : s + fold].transpose(1, 0, 2).reshape(j, -1)
+        out += g @ c.T
+    return out
 
 
 class Layer:
@@ -51,9 +81,11 @@ class Layer:
         raise NotImplementedError
 
     def _take_cache(self):
-        if self._cache is None:
+        """Hand the train-mode cache to backward and release it."""
+        cache, self._cache = self._cache, None
+        if cache is None:
             raise StateError(f"{type(self).__name__}.backward called without a train-mode forward")
-        return self._cache
+        return cache
 
 
 class Conv1d(Layer):
@@ -84,16 +116,18 @@ class Conv1d(Layer):
         cols = im2col_batch(x, (self.kernel,), (self.stride,))
         w_mat = self.weight.reshape(self.out_channels, -1)
         y = np.matmul(w_mat, cols) + self.bias[:, None]
-        self._cache = (x.shape, cols) if train else None
+        self._cache = x if train else None
         return y
 
     def backward(self, grad):
-        x_shape, cols = self._take_cache()
+        x = self._take_cache()
         w_mat = self.weight.reshape(self.out_channels, -1)
-        self.grad_weight = np.einsum("bol,bjl->oj", grad, cols).reshape(self.weight.shape)
+        cols = im2col_batch(x, (self.kernel,), (self.stride,))
+        self.grad_weight = _weight_grad(grad, cols).reshape(self.weight.shape)
+        del cols  # free the patch matrix before dcols, which is as large, is made
         self.grad_bias = grad.sum(axis=(0, 2))
         dcols = np.matmul(w_mat.T, grad)
-        return col2im_batch(dcols, x_shape, (self.kernel,), (self.stride,))
+        return col2im_batch(dcols, x.shape, (self.kernel,), (self.stride,))
 
 
 class DepthwiseConv1d(Layer):
@@ -166,7 +200,7 @@ class PointwiseConv(Layer):
 
     def backward(self, grad):
         x = self._take_cache()
-        self.grad_weights = np.einsum("bol,bcl->oc", grad, x)
+        self.grad_weights = _weight_grad(grad, x)
         self.grad_bias = grad.sum(axis=(0, 2))
         return np.matmul(self.weights.T, grad)
 
@@ -292,19 +326,20 @@ class DilatedConv2d(Layer):
         w_mat = self.weight.reshape(self.out_channels, -1)
         y = (np.matmul(w_mat, cols) + self.bias[:, None]).reshape(
             x.shape[0], self.out_channels, h_out, w_out)
-        self._cache = (x.shape, cols) if train else None
+        self._cache = x if train else None
         return y
 
     def backward(self, grad):
-        x_shape, cols = self._take_cache()
-        b = grad.shape[0]
-        g_mat = grad.reshape(b, self.out_channels, -1)
+        x = self._take_cache()
+        kernel, dilations = (self.kernel_h, self.kernel_w), (self.dilation, 1)
+        g_mat = grad.reshape(grad.shape[0], self.out_channels, -1)
         w_mat = self.weight.reshape(self.out_channels, -1)
-        self.grad_weight = np.einsum("bol,bjl->oj", g_mat, cols).reshape(self.weight.shape)
+        cols = im2col_batch(x, kernel, (1, 1), dilations)
+        self.grad_weight = _weight_grad(g_mat, cols).reshape(self.weight.shape)
+        del cols  # free the patch matrix before dcols, which is as large, is made
         self.grad_bias = g_mat.sum(axis=(0, 2))
         dcols = np.matmul(w_mat.T, g_mat)
-        return col2im_batch(
-            dcols, x_shape, (self.kernel_h, self.kernel_w), (1, 1), (self.dilation, 1))
+        return col2im_batch(dcols, x.shape, kernel, (1, 1), dilations)
 
 
 class Pool2d(Layer):

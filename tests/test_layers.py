@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,6 +21,7 @@ from atcnn.layers import (
     softmax,
 )
 from atcnn.optim import StackFragment, gradient_check
+from atcnn.tensor_ops import im2col_batch
 
 RNG = np.random.default_rng(42)
 
@@ -285,6 +288,108 @@ class TestBackwardState:
             layer.backward(np.zeros(3))
 
 
+# name -> (layer factory, train-mode input shape); every layer type, B=3
+LAYER_CASES = {
+    "conv1d": (lambda rng: Conv1d(2, 3, 3, 2, rng=rng), (3, 2, 11)),
+    "depthwise": (lambda rng: DepthwiseConv1d(2, 3, 2, rng=rng), (3, 2, 11)),
+    "pointwise": (lambda rng: PointwiseConv(2, 3, rng=rng), (3, 2, 7)),
+    "batchnorm": (lambda rng: BatchNorm(2), (3, 2, 7)),
+    "relu": (lambda rng: ReLU(), (3, 2, 7)),
+    "dilated": (lambda rng: DilatedConv2d(2, 3, 3, 2, 2, rng=rng), (3, 2, 9, 4)),
+    "max_pool": (lambda rng: Pool2d("max"), (3, 2, 4, 4)),
+    "avg_pool": (lambda rng: Pool2d("avg"), (3, 2, 4, 4)),
+    "flatten": (lambda rng: Flatten(), (3, 2, 4)),
+    "linear": (lambda rng: Linear(5, 3, rng=rng), (3, 5)),
+}
+
+
+def _forward_backward(layer, x, grad_seed=1):
+    """One train-mode forward and backward; returns (dx, copies of the grads)."""
+    y = layer.forward(x, train=True)
+    g = np.random.default_rng(grad_seed).standard_normal(y.shape)
+    dx = layer.backward(g)
+    return dx, {k: v.copy() for k, v in layer.named_grads().items()}
+
+
+class TestBatchAccumulation:
+    """Weight and bias gradients at B=3 equal the sum of the per-sample (B=1)
+    gradients. The cases cover samples folded into one GEMM (short outputs),
+    one GEMM per sample (outputs of 512+ positions), and a fold that leaves a
+    partial last group (200 positions: 2 + 1)."""
+
+    CASES = {
+        "conv1d": (lambda: Conv1d(2, 3, 3, 2), (3, 2, 11)),
+        "conv1d_per_sample": (lambda: Conv1d(2, 3, 5, 1), (3, 2, 604)),
+        "conv1d_partial_fold": (lambda: Conv1d(1, 2, 4, 1), (3, 1, 203)),
+        "pointwise": (lambda: PointwiseConv(4, 5), (3, 4, 9)),
+        "dilated": (lambda: DilatedConv2d(2, 3, 3, 2, 2), (3, 2, 9, 4)),
+        "dilated_per_sample": (lambda: DilatedConv2d(1, 2, 3, 3, 4), (3, 1, 40, 30)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_batch_gradient_is_sum_of_sample_gradients(self, name):
+        factory, shape = self.CASES[name]
+        rng = np.random.default_rng(30)
+        layer = factory()
+        for p in layer.named_params().values():
+            p[:] = rng.standard_normal(p.shape)
+        x = rng.standard_normal(shape)
+        y = layer.forward(x, train=True)
+        g = rng.standard_normal(y.shape)
+        layer.backward(g)
+        batch = {k: v.copy() for k, v in layer.named_grads().items()}
+        summed = {k: np.zeros_like(v) for k, v in batch.items()}
+        for b in range(shape[0]):
+            layer.forward(x[b : b + 1], train=True)
+            layer.backward(g[b : b + 1])
+            for k, v in layer.named_grads().items():
+                summed[k] += v
+        for k in batch:
+            scale = max(1.0, np.max(np.abs(summed[k])))
+            assert np.max(np.abs(batch[k] - summed[k])) <= 1e-12 * scale, k
+
+
+class TestCacheContract:
+    """Train mode caches the input, not the patch matrix; backward consumes it."""
+
+    @pytest.mark.parametrize("layer, x, lowering", [
+        (Conv1d(2, 4, 9, 1), np.ones((4, 2, 200)), ((9,), (1,), (1,))),
+        (DilatedConv2d(2, 4, 3, 3, 3), np.ones((2, 2, 30, 20)), ((3, 3), (1, 1), (3, 1))),
+    ])
+    def test_train_forward_retains_less_than_patch_matrix(self, layer, x, lowering):
+        patch_bytes = im2col_batch(x, *lowering).nbytes
+        assert patch_bytes > 4 * x.nbytes  # 9 taps inflate the input, less the edges
+        tracemalloc.start()
+        try:
+            y = layer.forward(x, train=True)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained - y.nbytes < patch_bytes
+
+    @pytest.mark.parametrize("name", sorted(LAYER_CASES))
+    def test_repeat_pass_is_bitwise_equal(self, name):
+        factory, shape = LAYER_CASES[name]
+        layer = factory(np.random.default_rng(31))
+        x = np.random.default_rng(32).standard_normal(shape)
+        dx1, grads1 = _forward_backward(layer, x)
+        dx2, grads2 = _forward_backward(layer, x)
+        assert np.array_equal(dx1, dx2)
+        assert grads1.keys() == grads2.keys()
+        for k in grads1:
+            assert np.array_equal(grads1[k], grads2[k]), k
+
+    @pytest.mark.parametrize("name", sorted(LAYER_CASES))
+    def test_second_backward_raises(self, name):
+        factory, shape = LAYER_CASES[name]
+        layer = factory(np.random.default_rng(33))
+        x = np.random.default_rng(34).standard_normal(shape)
+        y = layer.forward(x, train=True)
+        layer.backward(np.ones_like(y))
+        with pytest.raises(StateError):
+            layer.backward(np.ones_like(y))
+
+
 class TestDwsFusionEquivalence:
     """Depthwise then pointwise (no BN/ReLU between) equals one standard
     convolution with rank-1 fused weights W[o,c,k] = Z[o,c] * K_c[k]."""
@@ -309,9 +414,10 @@ class TestPerLayerGradients:
 
     TOL = 1e-6
 
-    def _check(self, layers, x, n_classes, seed=0):
+    def _check(self, layers, x, n_classes, seed=0, labels=None):
         frag = StackFragment(layers)
-        labels = np.array([seed % n_classes])
+        if labels is None:
+            labels = np.array([seed % n_classes])
         err = gradient_check(frag, x, labels, step=1e-5, seed=seed)
         assert err <= self.TOL, f"gradient error {err:.3e}"
 
@@ -320,6 +426,13 @@ class TestPerLayerGradients:
         layer = Conv1d(2, 3, 3, 2, rng=rng)
         x = rng.standard_normal((1, 2, 9))
         self._check([layer, Flatten()], x, 3 * 4)
+
+    def test_conv1d_batch2(self):
+        rng = np.random.default_rng(20)
+        layer = Conv1d(2, 3, 3, 2, rng=rng)
+        layer.bias[:] = rng.standard_normal(3)
+        x = rng.standard_normal((2, 2, 9))
+        self._check([layer, Flatten()], x, 3 * 4, labels=np.array([1, 7]))
 
     def test_depthwise(self):
         rng = np.random.default_rng(11)
@@ -354,6 +467,13 @@ class TestPerLayerGradients:
         layer.bias[:] = rng.standard_normal(3)
         x = rng.standard_normal((1, 2, 9, 4))
         self._check([layer, Flatten()], x, 3)
+
+    def test_dilated_conv2d_batch2(self):
+        rng = np.random.default_rng(21)
+        layer = DilatedConv2d(2, 3, 3, 2, 2, rng=rng)
+        layer.bias[:] = rng.standard_normal(3)
+        x = rng.standard_normal((2, 2, 9, 4))
+        self._check([layer, Flatten()], x, 3 * 5 * 3, labels=np.array([4, 30]))
 
     def test_max_pool(self):
         rng = np.random.default_rng(16)
