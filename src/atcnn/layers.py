@@ -42,6 +42,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def prefixed(parts, method: str) -> dict[str, np.ndarray]:
+    """Merge ``part.<method>()`` over (prefix, part) pairs, keys as '<prefix>.<key>'."""
+    return {f"{prefix}.{k}": v for prefix, part in parts
+            for k, v in getattr(part, method)().items()}
+
+
 def _weight_grad(grad: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Sum over the batch of ``grad[b] @ cols[b].T``: [B, O, L], [B, J, L] -> [O, J].
 
@@ -69,7 +75,8 @@ class Layer:
         return {}
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        return {}
+        """The gradient of each parameter, stored by backward as `grad_<name>`."""
+        return {name: getattr(self, f"grad_{name}") for name in self.named_params()}
 
     def named_buffers(self) -> dict[str, np.ndarray]:
         return {}
@@ -107,9 +114,6 @@ class Conv1d(Layer):
     def named_params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def named_grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
-
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(f"Conv1d expects [B, {self.in_channels}, L], got {x.shape}")
@@ -146,9 +150,6 @@ class DepthwiseConv1d(Layer):
 
     def named_params(self):
         return {"kernels": self.kernels, "bias": self.bias}
-
-    def named_grads(self):
-        return {"kernels": self.grad_kernels, "bias": self.grad_bias}
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[1] != self.channels:
@@ -188,9 +189,6 @@ class PointwiseConv(Layer):
     def named_params(self):
         return {"weights": self.weights, "bias": self.bias}
 
-    def named_grads(self):
-        return {"weights": self.grad_weights, "bias": self.grad_bias}
-
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(f"PointwiseConv expects [B, {self.in_channels}, L], got {x.shape}")
@@ -227,9 +225,6 @@ class BatchNorm(Layer):
 
     def named_params(self):
         return {"gamma": self.gamma, "beta": self.beta}
-
-    def named_grads(self):
-        return {"gamma": self.grad_gamma, "beta": self.grad_beta}
 
     def named_buffers(self):
         return {"running_mean": self.running_mean, "running_var": self.running_var}
@@ -313,9 +308,6 @@ class DilatedConv2d(Layer):
 
     def named_params(self):
         return {"weight": self.weight, "bias": self.bias}
-
-    def named_grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
 
     def forward(self, x, train=False):
         if x.ndim != 4 or x.shape[1] != self.in_channels:
@@ -426,9 +418,6 @@ class Linear(Layer):
     def named_params(self):
         return {"weight": self.weight, "bias": self.bias}
 
-    def named_grads(self):
-        return {"weight": self.grad_weight, "bias": self.grad_bias}
-
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"Linear expects [B, {self.in_features}], got {x.shape}")
@@ -446,8 +435,8 @@ class SoftmaxCrossEntropy:
     """Fused softmax + cross-entropy head.
 
     `forward` turns logits into probabilities; `loss` evaluates the clamped
-    mean cross-entropy against integer labels; `backward` returns the exact
-    logit gradient (probs - onehot) / B of the mean loss.
+    mean cross-entropy against integer labels; `backward(labels)` returns
+    the exact logit gradient (probs - onehot) / B of the mean loss.
     """
 
     def __init__(self):
@@ -461,16 +450,15 @@ class SoftmaxCrossEntropy:
     def loss(self, probs: np.ndarray, labels: np.ndarray) -> float:
         labels = np.asarray(labels)
         p_true = probs[np.arange(probs.shape[0]), labels]
-        self._labels = labels
         return float(-np.log(np.maximum(p_true, PROB_CLAMP)).mean())
 
-    def backward(self) -> np.ndarray:
+    def backward(self, labels: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError("SoftmaxCrossEntropy.backward called without a train-mode forward")
         probs = self._cache
         b = probs.shape[0]
         d = probs.copy()
-        d[np.arange(b), self._labels] -= 1.0
+        d[np.arange(b), np.asarray(labels)] -= 1.0
         return d / b
 
 
@@ -481,25 +469,13 @@ class Sequential(Layer):
         self.layers = layers
 
     def named_params(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.named_params().items():
-                out[f"{i}.{name}"] = arr
-        return out
+        return prefixed(enumerate(self.layers), "named_params")
 
     def named_grads(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.named_grads().items():
-                out[f"{i}.{name}"] = arr
-        return out
+        return prefixed(enumerate(self.layers), "named_grads")
 
     def named_buffers(self):
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.named_buffers().items():
-                out[f"{i}.{name}"] = arr
-        return out
+        return prefixed(enumerate(self.layers), "named_buffers")
 
     def forward(self, x, train=False):
         for layer in self.layers:

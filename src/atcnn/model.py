@@ -1,15 +1,21 @@
-"""Network assembly: configuration, shape tracing, resource counting, forward.
+"""Network assembly: configuration, layer plan, resource counting, forward.
 
 A model maps one 10 s segment, framed as X [T x N], to a class-probability
 vector. The per-frame extractor (standard conv + two depthwise/pointwise
 pairs) produces a feature vector per frame; the T feature vectors are
 stacked into a T x F matrix that feeds the time-dilated 2-d stack and the
 softmax classifier.
+
+`shape_trace` is the layer plan and the one place that does shape and cost
+arithmetic: one walk over the config gives every stage's shapes,
+mult-adds and parameter count. `count_resources` sums its entries and
+`build_model` reads its channel counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,8 +33,9 @@ from .layers import (
     ReLU,
     Sequential,
     SoftmaxCrossEntropy,
+    prefixed,
 )
-from .tensor_ops import FLOAT
+from .tensor_ops import FLOAT, conv_output_length
 
 
 @dataclass(frozen=True)
@@ -145,17 +152,24 @@ def get_profile(name: str) -> ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# Shape tracing
+# Layer plan: shapes and costs
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One traced stage; shapes are channel-first; `note` is set on violations."""
+    """One planned stage: channel-first shapes and cost; `note` is set on violations.
+
+    `mult_adds` counts the stage's multiply-accumulates per input it sees (one
+    frame in the extractor, one segment after it); `params` counts its
+    weights and biases, not those of the batch norm that follows a conv.
+    """
 
     name: str
     kind: str
     input_shape: tuple[int, ...]
     output_shape: tuple[int, ...]
+    mult_adds: int = 0
+    params: int = 0
     note: str = ""
 
     @property
@@ -163,19 +177,23 @@ class TraceEntry:
         return not self.note
 
 
-def _conv_len(length: int, kernel: int, stride: int = 1, dilation: int = 1) -> int:
-    span = (kernel - 1) * dilation + 1
-    if span > length:
-        raise ShapeError(f"kernel span {span} exceeds input extent {length}")
-    return (length - span) // stride + 1
+def _weighted(name: str, kind: str, in_shape: tuple, out_shape: tuple, fan_in: int) -> TraceEntry:
+    """A stage whose every output value is a `fan_in`-term dot product plus a bias."""
+    c_out, positions = out_shape[0], math.prod(out_shape[1:])
+    return TraceEntry(name, kind, in_shape, out_shape,
+                      mult_adds=c_out * fan_in * positions, params=c_out * fan_in + c_out)
 
 
 def shape_trace(config: ModelConfig) -> list[TraceEntry]:
-    """Pure shape arithmetic over every stage; violations become entries."""
+    """The layer plan: shapes, mult-adds and params of every stage in call order.
+
+    Pure arithmetic over the config; a violation becomes the last entry.
+    """
     entries: list[TraceEntry] = []
 
     def fail(name, kind, in_shape, msg):
         entries.append(TraceEntry(name, kind, in_shape, (), note=msg))
+        return entries
 
     channels, length = 1, config.frame_length
     for i, spec in enumerate(config.extractor):
@@ -183,24 +201,23 @@ def shape_trace(config: ModelConfig) -> list[TraceEntry]:
         in_shape = (channels, length)
         try:
             if spec.kind == "conv":
-                length = _conv_len(length, spec.kernel, spec.stride)
-                channels = spec.out_channels
+                length = conv_output_length(length, spec.kernel, spec.stride)
+                fan_in, channels = channels * spec.kernel, spec.out_channels
             elif spec.kind == "dw":
-                length = _conv_len(length, spec.kernel, spec.stride)
+                length = conv_output_length(length, spec.kernel, spec.stride)
+                fan_in = spec.kernel
             elif spec.kind == "pw":
-                channels = spec.out_channels
+                fan_in, channels = channels, spec.out_channels
             else:
                 raise ShapeError(f"unknown extractor layer kind {spec.kind!r}")
         except ShapeError as exc:
-            fail(name, spec.kind, in_shape, str(exc))
-            return entries
-        entries.append(TraceEntry(name, spec.kind, in_shape, (channels, length)))
+            return fail(name, spec.kind, in_shape, str(exc))
+        entries.append(_weighted(name, spec.kind, in_shape, (channels, length), fan_in))
 
     if channels * length != config.feature_length:
-        fail("features", "flatten", (channels, length),
-             f"extractor yields {channels * length} features, config declares "
-             f"{config.feature_length}")
-        return entries
+        return fail("features", "flatten", (channels, length),
+                    f"extractor yields {channels * length} features, config declares "
+                    f"{config.feature_length}")
     entries.append(TraceEntry("features", "flatten", (channels, length),
                               (config.feature_length,)))
 
@@ -212,29 +229,34 @@ def shape_trace(config: ModelConfig) -> list[TraceEntry]:
         name = f"dilated.{j}"
         in_shape = (c, h, w)
         try:
-            h = _conv_len(h, block.kernel_h, 1, block.dilation)
-            w = _conv_len(w, block.kernel_w, 1, 1)
+            h = conv_output_length(h, block.kernel_h, 1, block.dilation)
+            w = conv_output_length(w, block.kernel_w)
         except ShapeError as exc:
-            fail(name, "dconv", in_shape, str(exc))
-            return entries
-        c = block.out_channels
-        entries.append(TraceEntry(name, "dconv", in_shape, (c, h, w)))
+            return fail(name, "dconv", in_shape, str(exc))
+        fan_in, c = c * block.kernel_h * block.kernel_w, block.out_channels
+        entries.append(_weighted(name, "dconv", in_shape, (c, h, w), fan_in))
         if block.pool is not None:
             in_shape = (c, h, w)
             if h < 2 or w < 2:
-                fail(f"{name}.pool", block.pool, in_shape,
-                     f"pooling needs H >= 2 and W >= 2, got {h}x{w}")
-                return entries
+                return fail(f"{name}.pool", block.pool, in_shape,
+                            f"pooling needs H >= 2 and W >= 2, got {h}x{w}")
             h, w = h // 2, w // 2
             entries.append(TraceEntry(f"{name}.pool", block.pool, in_shape, (c, h, w)))
 
     flat = c * h * w
     entries.append(TraceEntry("flatten", "flatten", (c, h, w), (flat,)))
     if config.class_count < 2:
-        fail("classifier", "linear", (flat,), "class count must be >= 2")
-        return entries
-    entries.append(TraceEntry("classifier", "linear", (flat,), (config.class_count,)))
+        return fail("classifier", "linear", (flat,), "class count must be >= 2")
+    entries.append(_weighted("classifier", "linear", (flat,), (config.class_count,), flat))
     return entries
+
+
+def _plan(config: ModelConfig) -> list[TraceEntry]:
+    """The shape trace of a config whose shapes close; else ConfigurationError."""
+    trace = shape_trace(config)
+    if not trace[-1].ok:  # a violation ends the trace
+        raise ConfigurationError(f"{trace[-1].name}: {trace[-1].note}")
+    return trace
 
 
 def format_trace(entries: list[TraceEntry]) -> str:
@@ -261,23 +283,16 @@ def format_trace(entries: list[TraceEntry]) -> str:
 
 
 @dataclass(frozen=True)
-class LayerResource:
-    name: str
-    kind: str
-    mult_adds: int
-    params: int
-
-
-@dataclass(frozen=True)
 class ResourceReport:
     """Per-layer multiply-accumulate and parameter counts.
 
+    The rows are the plan's convolution, pooling and classifier entries.
     Row parameter counts include convolution biases and exclude batch-norm
     scale/shift, which are accounted separately in `bn_params` so that
     `total_params` equals the number of trainable scalars in the model.
     """
 
-    rows: tuple[LayerResource, ...]
+    rows: tuple[TraceEntry, ...]
     total_mult_adds: int
     conv_params: int
     bn_params: int
@@ -287,49 +302,10 @@ class ResourceReport:
 
 
 def count_resources(config: ModelConfig) -> ResourceReport:
-    trace = shape_trace(config)
-    bad = [e for e in trace if not e.ok]
-    if bad:
-        raise ConfigurationError(f"{bad[0].name}: {bad[0].note}")
-    by_name = {e.name: e for e in trace}
-
-    rows: list[LayerResource] = []
-    bn_params = 0
-    for i, spec in enumerate(config.extractor):
-        e = by_name[f"extractor.{i}"]
-        c_in, _ = e.input_shape
-        c_out, l_out = e.output_shape
-        if spec.kind == "conv":
-            macs = c_out * c_in * spec.kernel * l_out
-            params = c_out * c_in * spec.kernel + c_out
-        elif spec.kind == "dw":
-            macs = c_out * spec.kernel * l_out
-            params = c_out * spec.kernel + c_out
-        else:  # pw
-            macs = c_in * c_out * l_out
-            params = c_in * c_out + c_out
-        rows.append(LayerResource(e.name, spec.kind, macs, params))
-        bn_params += 2 * c_out
-
-    for j, block in enumerate(config.dilated):
-        e = by_name[f"dilated.{j}"]
-        c_in = e.input_shape[0]
-        c_out, h_out, w_out = e.output_shape
-        taps = block.kernel_h * block.kernel_w
-        macs = c_out * c_in * taps * h_out * w_out
-        params = c_out * c_in * taps + c_out
-        rows.append(LayerResource(e.name, "dconv", macs, params))
-        bn_params += 2 * c_out
-        pool = by_name.get(f"dilated.{j}.pool")
-        if pool is not None:
-            rows.append(LayerResource(pool.name, pool.kind, 0, 0))
-
-    cls = by_name["classifier"]
-    flat, c = cls.input_shape[0], cls.output_shape[0]
-    rows.append(LayerResource("classifier", "linear", flat * c, flat * c + c))
-
-    total_macs = sum(r.mult_adds for r in rows)
+    rows = tuple(e for e in _plan(config) if e.kind not in ("flatten", "stack"))
     conv_params = sum(r.params for r in rows)
+    # every convolution is followed by a batch norm with a scale and shift per channel
+    bn_params = sum(2 * r.output_shape[0] for r in rows if r.kind in ("conv", "dw", "pw", "dconv"))
 
     dws = [r for r in rows if r.kind in ("dw", "pw")]
     pw = [r for r in dws if r.kind == "pw"]
@@ -339,8 +315,8 @@ def count_resources(config: ModelConfig) -> ResourceReport:
     param_share = sum(r.params for r in pw) / dws_params if dws_params else 0.0
 
     return ResourceReport(
-        rows=tuple(rows),
-        total_mult_adds=total_macs,
+        rows=rows,
+        total_mult_adds=sum(r.mult_adds for r in rows),
         conv_params=conv_params,
         bn_params=bn_params,
         total_params=conv_params + bn_params,
@@ -397,13 +373,13 @@ class Model:
                 ("classifier", self.classifier))
 
     def named_params(self) -> dict[str, np.ndarray]:
-        return {f"{p}.{k}": v for p, m in self._modules() for k, v in m.named_params().items()}
+        return prefixed(self._modules(), "named_params")
 
     def named_grads(self) -> dict[str, np.ndarray]:
-        return {f"{p}.{k}": v for p, m in self._modules() for k, v in m.named_grads().items()}
+        return prefixed(self._modules(), "named_grads")
 
     def named_buffers(self) -> dict[str, np.ndarray]:
-        return {f"{p}.{k}": v for p, m in self._modules() for k, v in m.named_buffers().items()}
+        return prefixed(self._modules(), "named_buffers")
 
     def param_count(self) -> int:
         return sum(v.size for v in self.named_params().values())
@@ -441,9 +417,9 @@ class Model:
             if train and not update_running:
                 self._set_running_updates(True)
 
-    def backward(self) -> None:
-        """Backpropagate the cached head gradient through every layer."""
-        dlogits = self.head.backward()
+    def backward(self, labels: np.ndarray) -> None:
+        """Backpropagate the loss against `labels` through every layer."""
+        dlogits = self.head.backward(labels)
         dflat = self.classifier.backward(dlogits)
         dinteg = self.dilated.backward(dflat)
         dfeats = dinteg.reshape(self._feat_shape)
@@ -464,7 +440,7 @@ class Model:
         """One train-mode pass; returns (mean loss, probs [B, C], grads dict)."""
         probs = self.forward_batch(xs, train=True, update_running=update_running)
         value = self.head.loss(probs, labels)
-        self.backward()
+        self.backward(labels)
         return value, probs, self.named_grads()
 
     def forward_segment(self, x: np.ndarray, train: bool = False) -> np.ndarray:
@@ -492,39 +468,38 @@ class Model:
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> Model:
-    """Instantiate a model; raises ConfigurationError if shapes do not close."""
-    trace = shape_trace(config)
-    bad = [e for e in trace if not e.ok]
-    if bad:
-        raise ConfigurationError(f"{bad[0].name}: {bad[0].note}")
-    by_name = {e.name: e for e in trace}
+    """Instantiate the plan's layers; raises ConfigurationError if shapes do not close.
 
+    Initial weights are drawn from one seeded generator in layer order.
+    """
+    plan = {e.name: e for e in _plan(config)}
     rng = np.random.default_rng(seed)
+
     ext_layers: list = []
     for i, spec in enumerate(config.extractor):
-        e = by_name[f"extractor.{i}"]
-        c_in = e.input_shape[0]
-        c_out = e.output_shape[0]
+        e = plan[f"extractor.{i}"]
+        c_in, c_out = e.input_shape[0], e.output_shape[0]
         if spec.kind == "conv":
-            ext_layers.append(Conv1d(c_in, c_out, spec.kernel, spec.stride, rng=rng))
+            conv = Conv1d(c_in, c_out, spec.kernel, spec.stride, rng=rng)
         elif spec.kind == "dw":
-            ext_layers.append(DepthwiseConv1d(c_in, spec.kernel, spec.stride, rng=rng))
+            conv = DepthwiseConv1d(c_in, spec.kernel, spec.stride, rng=rng)
         else:
-            ext_layers.append(PointwiseConv(c_in, c_out, rng=rng))
-        ext_layers.append(BatchNorm(c_out))
-        ext_layers.append(ReLU())
+            conv = PointwiseConv(c_in, c_out, rng=rng)
+        ext_layers += [conv, BatchNorm(c_out), ReLU()]
 
     dil_layers: list = []
     for j, block in enumerate(config.dilated):
-        c_in = by_name[f"dilated.{j}"].input_shape[0]
-        dil_layers.append(DilatedConv2d(c_in, block.out_channels, block.kernel_h,
-                                        block.kernel_w, block.dilation, rng=rng))
-        dil_layers.append(BatchNorm(block.out_channels))
-        dil_layers.append(ReLU())
+        e = plan[f"dilated.{j}"]
+        c_in, c_out = e.input_shape[0], e.output_shape[0]
+        dil_layers += [
+            DilatedConv2d(c_in, c_out, block.kernel_h, block.kernel_w, block.dilation, rng=rng),
+            BatchNorm(c_out),
+            ReLU(),
+        ]
         if block.pool is not None:
             dil_layers.append(Pool2d(block.pool))
     dil_layers.append(Flatten())
 
-    flat = by_name["classifier"].input_shape[0]
-    classifier = Linear(flat, config.class_count, rng=rng)
+    cls = plan["classifier"]
+    classifier = Linear(cls.input_shape[0], cls.output_shape[0], rng=rng)
     return Model(config, Sequential(ext_layers), Sequential(dil_layers), classifier)

@@ -78,7 +78,7 @@ class StackFragment:
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
         value = self.loss(x, labels)
-        self.stack.backward(self.head.backward())
+        self.stack.backward(self.head.backward(labels))
         return value, self.stack.named_grads()
 
     def activation_signature(self):

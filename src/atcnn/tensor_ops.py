@@ -1,8 +1,9 @@
-"""Dense float64 tensor primitives: creation, GEMM, and im2col lowering.
+"""Float64 convolution lowering (im2col and its adjoint) and BLAS pinning.
 
-Tensors are plain C-contiguous ``numpy.ndarray`` objects with dtype float64;
-every operation in the package goes through these helpers so the layout
-(row-major) and precision (64-bit) stay uniform.
+Tensors are plain ``numpy.ndarray`` objects of dtype `FLOAT` (float64).
+`conv_output_length` is the valid-convolution extent formula that the
+layer plan and the layers share; `im2col_batch` lowers a convolution to
+a batched GEMM over patch columns, and `col2im_batch` is its adjoint.
 
 BLAS is pinned to a single thread when this module is imported: multi-
 threaded GEMM kernels reassociate reductions differently per thread count,
@@ -100,36 +101,6 @@ BLAS_PINNED_BY = _pin_blas_to_one_thread()
 FLOAT = np.float64
 
 
-def tensor_create(shape: Sequence[int], fill: float = 0.0) -> np.ndarray:
-    """Allocate a row-major float64 tensor of `shape` filled with `fill`."""
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise ShapeError("tensor shape must have at least one extent")
-    if any(s < 1 for s in shape):
-        raise ShapeError(f"tensor extents must be >= 1, got {shape}")
-    return np.full(shape, fill, dtype=FLOAT)
-
-
-def as_tensor(values) -> np.ndarray:
-    """Coerce nested sequences / arrays to a float64 ndarray."""
-    return np.asarray(values, dtype=FLOAT)
-
-
-def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product C[m, p] = sum_k A[m, k] * B[k, p].
-
-    Inner extents must match. The result does not depend on the BLAS thread
-    environment only because BLAS is pinned to one thread at import.
-    """
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"gemm needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"gemm inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def conv_output_length(length: int, kernel: int, stride: int = 1, dilation: int = 1) -> int:
     """Valid-convolution output extent: floor((L - ((K-1)*d + 1)) / s) + 1."""
     span = (kernel - 1) * dilation + 1
@@ -175,27 +146,6 @@ def im2col_batch(
     windows = windows.transpose(order)
     b, c = x.shape[0], x.shape[1]
     return np.ascontiguousarray(windows).reshape(b, c * int(np.prod(kernel)), int(np.prod(out)))
-
-
-def im2col(
-    x: np.ndarray,
-    kernel: Sequence[int],
-    strides: Sequence[int] | None = None,
-    dilations: Sequence[int] | None = None,
-) -> np.ndarray:
-    """Patch-matrix lowering of a single [C, *spatial] (or [*spatial]) input.
-
-    Column j holds the flattened receptive field of output position j, so a
-    valid convolution becomes ``gemm(weight_matrix, im2col(x, ...))``.
-    """
-    x = as_tensor(x)
-    nsp = len(tuple(kernel))
-    if x.ndim == nsp:
-        x = x[np.newaxis]  # single implicit channel
-    if x.ndim != nsp + 1:
-        raise ShapeError(f"expected [C, {nsp} spatial] input, got shape {x.shape}")
-    cols = im2col_batch(x[np.newaxis], kernel, strides, dilations)
-    return cols[0]
 
 
 def col2im_batch(

@@ -272,7 +272,13 @@ class TestClassifierSoftmax:
         head = SoftmaxCrossEntropy()
         probs = head.forward(np.log(np.array([[0.5, 0.25, 0.25]])), train=True)
         head.loss(probs, np.array([0]))
-        assert np.allclose(head.backward(), [[-0.5, 0.25, 0.25]], atol=1e-12)
+        assert np.allclose(head.backward(np.array([0])), [[-0.5, 0.25, 0.25]], atol=1e-12)
+
+    def test_backward_takes_labels_without_loss_call(self):
+        head = SoftmaxCrossEntropy()
+        head.forward(np.log(np.array([[0.5, 0.25, 0.25], [0.2, 0.2, 0.6]])), train=True)
+        expected = [[0.25, -0.375, 0.125], [0.1, 0.1, -0.2]]  # (p - onehot) / B, B = 2
+        assert np.allclose(head.backward(np.array([1, 2])), expected, atol=1e-12)
 
 
 class TestBackwardState:

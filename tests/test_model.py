@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from atcnn.errors import ConfigurationError, ShapeError
-from atcnn.layers import Conv1d, DepthwiseConv1d, PointwiseConv
+from atcnn.layers import (
+    BatchNorm,
+    Conv1d,
+    DepthwiseConv1d,
+    DilatedConv2d,
+    PointwiseConv,
+    Pool2d,
+)
 from atcnn.model import (
     ExtractorLayerSpec,
     build_model,
@@ -211,6 +218,61 @@ class TestResources:
             assert report.total_params == model.param_count()
             assert report.total_mult_adds == sum(r.mult_adds for r in report.rows)
             assert report.conv_params == sum(r.params for r in report.rows)
+
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_rows_match_recount_of_built_layers(self, profile):
+        # build_model and count_resources read the same plan, so only a count
+        # that ignores the plan can catch an error in it
+        cfg = get_profile(profile)
+        model = build_model(cfg, seed=0)
+        report = count_resources(cfg)
+        recount = _recount_without_plan(model)
+        assert [r.name for r in report.rows] == [name for name, *_ in recount]
+        for row, (name, kind, layer, macs) in zip(report.rows, recount):
+            params = sum(p.size for p in layer.named_params().values())
+            assert (row.kind, row.mult_adds, row.params) == (kind, macs, params), name
+        bn = [l for seq in (model.extractor, model.dilated) for l in seq.layers
+              if isinstance(l, BatchNorm)]
+        assert report.bn_params == sum(l.gamma.size + l.beta.size for l in bn)
+
+
+def _recount_without_plan(model):
+    """(row name, kind, layer, mult-adds) per costed layer, from the layers' own attributes.
+
+    Output extents follow from each layer's kernel, stride and dilation,
+    starting at the config's frame length and T x F integration matrix.
+    """
+    cfg = model.config
+    rows = []
+    length = cfg.frame_length
+    convs = [l for l in model.extractor.layers
+             if isinstance(l, (Conv1d, DepthwiseConv1d, PointwiseConv))]
+    for i, layer in enumerate(convs):
+        if isinstance(layer, PointwiseConv):
+            rows.append((f"extractor.{i}", "pw", layer,
+                         layer.out_channels * layer.in_channels * length))
+            continue
+        length = (length - layer.kernel) // layer.stride + 1
+        if isinstance(layer, Conv1d):
+            macs = layer.out_channels * layer.in_channels * layer.kernel * length
+            rows.append((f"extractor.{i}", "conv", layer, macs))
+        else:
+            rows.append((f"extractor.{i}", "dw", layer, layer.channels * layer.kernel * length))
+    h, w, j = cfg.frames_per_segment, cfg.feature_length, -1
+    for layer in model.dilated.layers:
+        if isinstance(layer, DilatedConv2d):
+            j += 1
+            h -= (layer.kernel_h - 1) * layer.dilation
+            w -= layer.kernel_w - 1
+            taps = layer.kernel_h * layer.kernel_w
+            rows.append((f"dilated.{j}", "dconv", layer,
+                         layer.out_channels * layer.in_channels * taps * h * w))
+        elif isinstance(layer, Pool2d):
+            h, w = h // 2, w // 2
+            rows.append((f"dilated.{j}.pool", layer.kind, layer, 0))
+    linear = model.classifier
+    rows.append(("classifier", "linear", linear, linear.in_features * linear.out_features))
+    return rows
 
 
 class TestComplexityDeclineRatio:

@@ -5,91 +5,38 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from atcnn import reference
 from atcnn.errors import ShapeError
-from atcnn.tensor_ops import conv_output_length, gemm, im2col, tensor_create
-
-
-class TestTensorCreate:
-    def test_zero_fill(self):
-        t = tensor_create([2, 3], 0.0)
-        assert t.shape == (2, 3)
-        assert t.dtype == np.float64
-        assert np.all(t == 0.0)
-
-    def test_singleton(self):
-        assert tensor_create([1], 7.5).tolist() == [7.5]
-
-    def test_unit_fill(self):
-        t = tensor_create([2, 2, 2], 1.0)
-        assert t.size == 8 and np.all(t == 1.0)
-
-    def test_empty_shape_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor_create([])
-
-    def test_zero_extent_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor_create([2, 0, 3])
-
-
-class TestGemm:
-    def test_identity_left_exact(self):
-        b = np.array([[1.5, -2.0], [3.25, 0.5]])
-        assert np.array_equal(gemm(np.eye(2), b), b)
-
-    def test_identity_right_exact(self):
-        a = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert np.array_equal(gemm(a, np.eye(3)), a)
-
-    def test_hand_multiplication(self):
-        # oracle: [[1*5+2*7, 1*6+2*8], [3*5+4*7, 3*6+4*8]]
-        c = gemm([[1, 2], [3, 4]], [[5, 6], [7, 8]])
-        assert c.tolist() == [[19, 22], [43, 50]]
-
-    def test_annihilator(self):
-        a = np.arange(6.0).reshape(2, 3)
-        assert np.all(gemm(a, np.zeros((3, 4))) == 0.0)
-
-    def test_mismatch(self):
-        with pytest.raises(ShapeError):
-            gemm(np.ones((2, 3)), np.ones((4, 2)))
-
-    @given(st.integers(1, 5), st.integers(1, 5))
-    def test_identity_property(self, m, k):
-        rng = np.random.default_rng(m * 7 + k)
-        a = rng.standard_normal((m, k))
-        assert np.array_equal(gemm(a, np.eye(k)), a)
-        assert np.array_equal(gemm(np.eye(m), a), a)
+from atcnn.tensor_ops import conv_output_length, im2col_batch
 
 
 class TestIm2col:
+    """One input, lowered as a batch of one; x[None, None] adds batch and channel axes."""
+
     def test_length6_kernel3_stride2(self):
         # floor((6-3)/2)+1 = 2 columns of 3 values
-        cols = im2col(np.arange(6.0), (3,), (2,))
+        cols = im2col_batch(np.arange(6.0)[None, None], (3,), (2,))[0]
         assert cols.shape == (3, 2)
         assert cols.T.tolist() == [[0, 1, 2], [2, 3, 4]]
 
     def test_kernel1_is_identity_lowering(self):
         x = np.arange(8.0)
-        cols = im2col(x, (1,), (1,))
+        cols = im2col_batch(x[None, None], (1,), (1,))[0]
         assert cols.shape == (1, 8)
         assert np.array_equal(cols[0], x)
 
     def test_2d_dilated_output_grid(self):
         # heights: 5 - ((3-1)*2 + 1) + 1 = 1; widths: 5 - 3 + 1 = 3
         x = np.arange(25.0).reshape(5, 5)
-        cols = im2col(x, (3, 3), dilations=(2, 1))
+        cols = im2col_batch(x[None, None], (3, 3), dilations=(2, 1))[0]
         assert cols.shape == (9, 3)
         # first column: rows 0,2,4 x cols 0,1,2
         assert cols[:, 0].tolist() == [0, 1, 2, 10, 11, 12, 20, 21, 22]
 
     def test_dilated_kernel_too_large(self):
         with pytest.raises(ShapeError):
-            im2col(np.zeros((1, 5)), (3,), dilations=(3,))  # span 7 > 5
+            im2col_batch(np.zeros((1, 1, 5)), (3,), dilations=(3,))  # span 7 > 5
 
     def test_conv_output_length_formula(self):
         assert conv_output_length(6, 3, 2) == 2
@@ -109,8 +56,8 @@ class TestDirectVsIm2colGemm:
             w = rng.standard_normal((c_out, c_in, k))
             b = rng.standard_normal(c_out)
             direct = reference.conv1d_direct(x, w, b, stride)
-            cols = im2col(x, (k,), (stride,))
-            lowered = gemm(w.reshape(c_out, -1), cols) + b[:, None]
+            cols = im2col_batch(x[None], (k,), (stride,))[0]
+            lowered = w.reshape(c_out, -1) @ cols + b[:, None]
             assert np.max(np.abs(direct - lowered)) < 1e-12
 
     def test_dilated_conv2d_paths_agree(self):
@@ -120,25 +67,9 @@ class TestDirectVsIm2colGemm:
             w = rng.standard_normal((3, 2, 3, 3))
             b = rng.standard_normal(3)
             direct = reference.dilated_conv2d_direct(x, w, b, dil)
-            cols = im2col(x, (3, 3), dilations=(dil, 1))
-            lowered = (gemm(w.reshape(3, -1), cols) + b[:, None]).reshape(direct.shape)
+            cols = im2col_batch(x[None], (3, 3), dilations=(dil, 1))[0]
+            lowered = (w.reshape(3, -1) @ cols + b[:, None]).reshape(direct.shape)
             assert np.max(np.abs(direct - lowered)) < 1e-12
-
-
-@settings(max_examples=50)
-@given(
-    st.lists(st.integers(1, 4), min_size=1, max_size=3),
-    st.floats(-100, 100, allow_nan=False),
-    st.integers(0, 10**9),
-)
-def test_row_major_set_get_round_trip(shape, value, pick):
-    t = tensor_create(shape, 0.0)
-    idx = tuple(pick % s for s in shape)
-    t[idx] = value
-    assert t[idx] == value
-    # row-major layout: the flat offset matches C-order strides
-    flat_idx = int(np.ravel_multi_index(idx, shape))
-    assert t.reshape(-1)[flat_idx] == value
 
 
 _PIN_PROBE = """
