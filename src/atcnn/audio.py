@@ -38,13 +38,6 @@ class FrameSequence:
     label: int = -1
 
 
-@dataclass(frozen=True)
-class FramingConfig:
-    frame_length: int  # N
-    hop: int
-    frames_per_segment: int  # T
-
-
 def read_wav(path) -> SampleBuffer:
     """Decode a RIFF/WAVE PCM 16-bit mono file; samples scaled by 1/32768."""
     try:

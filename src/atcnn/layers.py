@@ -3,14 +3,28 @@
 All layers take batched channel-first input: [B, C, L] for the 1-d
 extractor layers, [B, C, H, W] for the 2-d stack. A layer run in train
 mode keeps a cache for its backward pass; eval-mode forwards are pure and
-cache nothing. The im2col layers (`Conv1d`, `DilatedConv2d`) cache their
-input `x`, not the patch matrix, which is up to kernel-size times larger:
-backward lowers `x` again with `im2col_batch`. Backward consumes the cache,
-so a second backward without a new train-mode forward raises `StateError`.
+cache nothing. Backward consumes the cache, so a second backward without a
+new train-mode forward raises `StateError`. What train mode caches:
+- `Conv1d`, `DilatedConv2d`: the input `x`, not the patch matrix, which is
+  up to kernel-size times larger; backward lowers `x` again with
+  `im2col_batch`.
+- `BatchNorm`: the centred input `xm` and the per-channel statistics, not
+  `xhat`, which backward rebuilds as `xm * inv`.
+- `Pool2d`: the input shape, plus a uint8 winner index per output for max.
+  Pooling works on strided views of the four corners of each 2x2 block.
 
-Backward returns the input gradient and stores parameter gradients on the
-layer (`grad_*` attributes, exposed via `named_grads`). Convolution weight
-gradients are summed over the batch as 2-D BLAS GEMMs (`_weight_grad`).
+Backward returns the input gradient as a C-contiguous array (the next
+layer's reductions sum in memory order) and stores parameter gradients on
+the layer (`grad_*` attributes, exposed via `named_grads`). Convolution
+weight gradients are summed over the batch as 2-D BLAS GEMMs
+(`_weight_grad`). The convolutions take `input_grad=False` to skip the
+input gradient; `Model.backward` uses it on the first extractor layer,
+whose input is the waveform.
+
+BatchNorm, Pool2d and the depthwise backward evaluate every reduction and
+elementwise expression of the plain formulas in the same order; only memory
+layout, temporaries and caches differ, so their results are bitwise those
+of the plain code, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
@@ -123,14 +137,15 @@ class Conv1d(Layer):
         self._cache = x if train else None
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x = self._take_cache()
-        w_mat = self.weight.reshape(self.out_channels, -1)
         cols = im2col_batch(x, (self.kernel,), (self.stride,))
         self.grad_weight = _weight_grad(grad, cols).reshape(self.weight.shape)
         del cols  # free the patch matrix before dcols, which is as large, is made
         self.grad_bias = grad.sum(axis=(0, 2))
-        dcols = np.matmul(w_mat.T, grad)
+        if not input_grad:
+            return None
+        dcols = np.matmul(self.weight.reshape(self.out_channels, -1).T, grad)
         return col2im_batch(dcols, x.shape, (self.kernel,), (self.stride,))
 
 
@@ -160,17 +175,23 @@ class DepthwiseConv1d(Layer):
         self._cache = (x.shape, windows) if train else None
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x_shape, windows = self._take_cache()
         self.grad_kernels = np.einsum("bclk,bcl->ck", windows, grad)
         self.grad_bias = grad.sum(axis=(0, 2))
-        dx = np.zeros(x_shape, dtype=FLOAT)
-        l_out = grad.shape[2]
+        if not input_grad:
+            return None
+        # Time-major [L, B, C]: each tap adds whole contiguous [B, C] planes. Every
+        # element gets the same products added in the same tap order as when
+        # accumulating in [B, C, L], so dx has the same bits.
+        b, c, l_in = x_shape
+        g = np.ascontiguousarray(grad.transpose(2, 0, 1))
+        term = np.empty_like(g)
+        dx = np.zeros((l_in, b, c), dtype=FLOAT)
         for t in range(self.kernel):
-            dx[:, :, t : t + self.stride * l_out : self.stride] += (
-                grad * self.kernels[:, t][None, :, None]
-            )
-        return dx
+            np.multiply(g, self.kernels[:, t], out=term)
+            dx[t : t + self.stride * g.shape[0] : self.stride] += term
+        return np.ascontiguousarray(dx.transpose(1, 2, 0))
 
 
 class PointwiseConv(Layer):
@@ -196,11 +217,11 @@ class PointwiseConv(Layer):
         self._cache = x if train else None
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, input_grad=True):
         x = self._take_cache()
         self.grad_weights = _weight_grad(grad, x)
         self.grad_bias = grad.sum(axis=(0, 2))
-        return np.matmul(self.weights.T, grad)
+        return np.matmul(self.weights.T, grad) if input_grad else None
 
 
 class BatchNorm(Layer):
@@ -238,38 +259,45 @@ class BatchNorm(Layer):
         bshape = self._bshape(x.ndim)
         axes = (0,) + tuple(range(2, x.ndim))
         if train:
+            m = x.size // self.channels
             mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            xm = x - mu.reshape(bshape)
+            y = xm * xm
+            var = y.sum(axis=axes) / m  # the steps np.var takes, so the same bits
             mask = var > VAR_FLOOR
             var_f = np.maximum(var, VAR_FLOOR)
             inv = 1.0 / np.sqrt(var_f + self.epsilon)
-            xm = x - mu.reshape(bshape)
-            xhat = xm * inv.reshape(bshape)
+            np.multiply(xm, inv.reshape(bshape), out=y)  # xhat
             if self.update_running:
                 self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mu
                 self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
-            m = x.size // self.channels
-            self._cache = (xm, xhat, inv, mask, m, axes)
+            self._cache = (xm, inv, mask, m, axes)
         else:
             inv = 1.0 / np.sqrt(np.maximum(self.running_var, VAR_FLOOR) + self.epsilon)
-            xhat = (x - self.running_mean.reshape(bshape)) * inv.reshape(bshape)
+            y = (x - self.running_mean.reshape(bshape)) * inv.reshape(bshape)
             self._cache = None
-        return self.gamma.reshape(bshape) * xhat + self.beta.reshape(bshape)
+        np.multiply(self.gamma.reshape(bshape), y, out=y)
+        return np.add(y, self.beta.reshape(bshape), out=y)
 
     def backward(self, grad):
-        xm, xhat, inv, mask, m, axes = self._take_cache()
+        xm, inv, mask, m, axes = self._take_cache()
         bshape = self._bshape(grad.ndim)
-        self.grad_gamma = (grad * xhat).sum(axis=axes)
+        inv_b = inv.reshape(bshape)
+        tmp = xm * inv_b  # xhat, as forward made it
+        np.multiply(grad, tmp, out=tmp)
+        self.grad_gamma = tmp.sum(axis=axes)
         self.grad_beta = grad.sum(axis=axes)
         dxhat = grad * self.gamma.reshape(bshape)
+        np.multiply(dxhat, xm, out=tmp)
         # d/dvar through the floor is zero on floored (near-constant) channels
-        dvar = (dxhat * xm).sum(axis=axes) * (-0.5) * inv**3 * mask
+        dvar = tmp.sum(axis=axes) * (-0.5) * inv**3 * mask
         dmu = -(dxhat.sum(axis=axes)) * inv + dvar * (-2.0 / m) * xm.sum(axis=axes)
-        return (
-            dxhat * inv.reshape(bshape)
-            + dvar.reshape(bshape) * 2.0 * xm / m
-            + dmu.reshape(bshape) / m
-        )
+        # dx = (dxhat * inv + dvar * 2 * xm / m) + dmu / m, in this order, in place
+        np.multiply(dvar.reshape(bshape) * 2.0, xm, out=tmp)
+        np.divide(tmp, m, out=tmp)
+        np.multiply(dxhat, inv_b, out=dxhat)
+        np.add(dxhat, tmp, out=dxhat)
+        return np.add(dxhat, dmu.reshape(bshape) / m, out=dxhat)
 
 
 class ReLU(Layer):
@@ -334,6 +362,14 @@ class DilatedConv2d(Layer):
         return col2im_batch(dcols, x.shape, kernel, (1, 1), dilations)
 
 
+def _corners(x: np.ndarray, h2: int, w2: int) -> list[np.ndarray]:
+    """Strided views of the four corners of every 2x2 block, in row-major block order.
+
+    The row and column that an odd H or W leaves over are not in any view.
+    """
+    return [x[:, :, i : 2 * h2 : 2, j : 2 * w2 : 2] for i in (0, 1) for j in (0, 1)]
+
+
 class Pool2d(Layer):
     """2x2 max or average pooling with stride 2; trailing odd row/column dropped."""
 
@@ -346,44 +382,39 @@ class Pool2d(Layer):
     def forward(self, x, train=False):
         if x.ndim != 4:
             raise ShapeError(f"Pool2d expects [B, C, H, W], got {x.shape}")
-        b, c, h, w = x.shape
+        h, w = x.shape[2:]
         if h < 2 or w < 2:
             raise ShapeError(f"Pool2d needs H >= 2 and W >= 2, got {h}x{w}")
-        h2, w2 = h // 2, w // 2
-        blocks = (
-            x[:, :, : 2 * h2, : 2 * w2]
-            .reshape(b, c, h2, 2, w2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, h2, w2, 4)
-        )
+        q = _corners(x, h // 2, w // 2)
         if self.kind == "max":
-            idx = blocks.argmax(axis=-1)  # first max wins on ties (row-major block scan)
-            y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+            y = np.maximum(q[0], q[1])
+            np.maximum(y, q[2], out=y)
+            np.maximum(y, q[3], out=y)
+            if train:
+                # the winner is the first corner equal to the maximum, as argmax picks
+                idx = np.full(y.shape, 3, dtype=np.uint8)
+                for k in (2, 1, 0):
+                    np.copyto(idx, k, where=q[k] == y)
             self._cache = (x.shape, idx) if train else None
         else:
-            y = blocks.mean(axis=-1)
+            # the summation order and divisor of a mean over each block's 4 values
+            y = ((q[0] + q[1]) + q[2]) + q[3]
+            y /= 4
             self._cache = x.shape if train else None
         return y
 
     def backward(self, grad):
         cache = self._take_cache()
-        if self.kind == "max":
-            x_shape, idx = cache
-        else:
-            x_shape = cache
-        b, c, h, w = x_shape
-        h2, w2 = h // 2, w // 2
-        dblocks = np.zeros((b, c, h2, w2, 4), dtype=FLOAT)
-        if self.kind == "max":
-            np.put_along_axis(dblocks, idx[..., None], grad[..., None], axis=-1)
-        else:
-            dblocks += (grad / 4.0)[..., None]
+        x_shape = cache[0] if self.kind == "max" else cache
+        h2, w2 = x_shape[2] // 2, x_shape[3] // 2
         dx = np.zeros(x_shape, dtype=FLOAT)
-        dx[:, :, : 2 * h2, : 2 * w2] = (
-            dblocks.reshape(b, c, h2, w2, 2, 2)
-            .transpose(0, 1, 2, 4, 3, 5)
-            .reshape(b, c, 2 * h2, 2 * w2)
-        )
+        if self.kind == "max":
+            for k, view in enumerate(_corners(dx, h2, w2)):
+                np.copyto(view, grad, where=cache[1] == k)
+        else:
+            quarter = grad / 4.0
+            for view in _corners(dx, h2, w2):
+                view += quarter
         return dx
 
     def activation_signature(self):
@@ -482,10 +513,13 @@ class Sequential(Layer):
             x = layer.forward(x, train=train)
         return x
 
-    def backward(self, grad):
-        for layer in reversed(self.layers):
+    def backward(self, grad, input_grad=True):
+        """Backpropagate through every layer; ``input_grad=False`` has the first
+        layer (a convolution) skip its input gradient and returns None."""
+        for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
-        return grad
+        first = self.layers[0]
+        return first.backward(grad) if input_grad else first.backward(grad, input_grad=False)
 
     def activation_signature(self):
         """Hash of all cached ReLU masks and max-pool argmax indices.

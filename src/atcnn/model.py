@@ -423,7 +423,7 @@ class Model:
         dflat = self.classifier.backward(dlogits)
         dinteg = self.dilated.backward(dflat)
         dfeats = dinteg.reshape(self._feat_shape)
-        self.extractor.backward(dfeats)
+        self.extractor.backward(dfeats, input_grad=False)  # the waveform gradient is unused
 
     def loss(self, xs: np.ndarray, labels: np.ndarray) -> float:
         """Pure train-mode loss (running statistics untouched)."""

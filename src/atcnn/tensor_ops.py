@@ -105,10 +105,9 @@ def conv_output_length(length: int, kernel: int, stride: int = 1, dilation: int 
     """Valid-convolution output extent: floor((L - ((K-1)*d + 1)) / s) + 1."""
     span = (kernel - 1) * dilation + 1
     if span > length:
-        raise ShapeError(
-            f"dilated kernel span {span} (kernel {kernel}, dilation {dilation}) "
-            f"exceeds input extent {length}"
-        )
+        what = (f"kernel span {span} (kernel {kernel})" if dilation == 1 else
+                f"dilated kernel span {span} (kernel {kernel}, dilation {dilation})")
+        raise ShapeError(f"{what} exceeds input extent {length}")
     return (length - span) // stride + 1
 
 

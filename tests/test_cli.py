@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,22 @@ from atcnn.audio import default_synth_spec, write_synth_dataset
 from atcnn.checkpoint import load_checkpoint, save_checkpoint
 from atcnn.cli import main, parse_config
 from atcnn.errors import CheckpointError, ConfigurationError
-from atcnn.model import build_model, desk_profile, paper_profile
+from atcnn.model import (
+    ExtractorLayerSpec,
+    build_model,
+    desk_profile,
+    format_trace,
+    paper_profile,
+    shape_trace,
+)
+
+# sha256 of the stdout of `atcnn <command> --profile <profile>`
+REPORT_SHA256 = {
+    ("trace", "desk"): "1d623fc32dab2fa04c98c86fc91265b219d798dfa04c516dc1ec8549ff873b19",
+    ("resources", "desk"): "c829f3fd97396bf4e5e97683746dffd02f53ef326968b4013d72dedb04f8331f",
+    ("trace", "paper"): "de067fb21a36c055fa1e68af724019b1006ac9959cc0449e6662c69f45340830",
+    ("resources", "paper"): "1e615590dbf63862c14e1c5a1956c7388e9f820c66fac8fa5f8ea35dda9eecee",
+}
 
 
 def _write_config(tmp_path, text):
@@ -111,6 +129,19 @@ class TestCommands:
                       "182x23x128", "158x21x256", "79x10x256", "55x8x512",
                       "27x4x512", "3x2x512", "1x1x512", "2176x1", "40x64"):
             assert shape in out, shape
+
+    @pytest.mark.parametrize("command, profile", sorted(REPORT_SHA256))
+    def test_reports_of_built_in_profiles_are_byte_stable(self, capsys, command, profile):
+        assert main([command, "--profile", profile]) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == REPORT_SHA256[(command, profile)]
+
+    def test_trace_names_an_undilated_kernel_as_such(self):
+        config = paper_profile()
+        extractor = list(config.extractor)
+        extractor[3] = ExtractorLayerSpec("dw", kernel=16, stride=1)  # input extent 15
+        text = format_trace(shape_trace(replace(config, extractor=tuple(extractor))))
+        assert "INVALID (kernel span 16 (kernel 16) exceeds input extent 15)" in text
 
     def test_gradcheck_desk(self, capsys):
         assert main(["gradcheck", "--profile", "desk", "--seed", "1"]) == 0

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from atcnn import layers as layers_module
 from atcnn import reference
 from atcnn.errors import ShapeError, StateError
 from atcnn.layers import (
+    VAR_FLOOR,
     BatchNorm,
     Conv1d,
     DepthwiseConv1d,
@@ -20,8 +22,9 @@ from atcnn.layers import (
     SoftmaxCrossEntropy,
     softmax,
 )
+from atcnn.model import build_model, desk_profile
 from atcnn.optim import StackFragment, gradient_check
-from atcnn.tensor_ops import im2col_batch
+from atcnn.tensor_ops import FLOAT, im2col_batch
 
 RNG = np.random.default_rng(42)
 
@@ -373,6 +376,18 @@ class TestCacheContract:
             tracemalloc.stop()
         assert retained - y.nbytes < patch_bytes
 
+    def test_batchnorm_train_forward_keeps_one_full_size_array(self):
+        layer = BatchNorm(4)
+        x = np.random.default_rng(35).standard_normal((8, 4, 500))
+        tracemalloc.start()
+        try:
+            y = layer.forward(x, train=True)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the centred input xm; backward rebuilds xhat = xm * inv from it
+        assert x.nbytes <= retained - y.nbytes < 1.5 * x.nbytes
+
     @pytest.mark.parametrize("name", sorted(LAYER_CASES))
     def test_repeat_pass_is_bitwise_equal(self, name):
         factory, shape = LAYER_CASES[name]
@@ -394,6 +409,212 @@ class TestCacheContract:
         layer.backward(np.ones_like(y))
         with pytest.raises(StateError):
             layer.backward(np.ones_like(y))
+
+
+    @pytest.mark.parametrize("name", sorted(LAYER_CASES))
+    def test_input_gradient_is_c_contiguous(self, name):
+        # the next layer's reductions sum in memory order, so a transposed dx
+        # would move its bits
+        factory, shape = LAYER_CASES[name]
+        layer = factory(np.random.default_rng(36))
+        dx, _ = _forward_backward(layer, np.random.default_rng(37).standard_normal(shape))
+        assert dx.shape == shape and dx.flags.c_contiguous
+
+
+class TestWaveformGradientSkipped:
+    """`Model.backward` drops the waveform gradient, so the first conv makes none."""
+
+    def test_model_backward_skips_one_col2im(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return col2im_batch(*args, **kwargs)
+
+        col2im_batch = layers_module.col2im_batch
+        monkeypatch.setattr(layers_module, "col2im_batch", counting)
+        config = desk_profile()
+        model = build_model(config, seed=0)
+        xs = np.random.default_rng(38).standard_normal(
+            (2, config.frames_per_segment, config.frame_length))
+        model.loss_and_grads(xs, np.array([0, 1]))
+        im2col_layers = [layer for seq in (model.extractor, model.dilated)
+                         for layer in seq.layers if isinstance(layer, (Conv1d, DilatedConv2d))]
+        assert isinstance(model.extractor.layers[0], Conv1d)
+        assert len(calls) == len(im2col_layers) - 1  # one per conv but the first
+        assert np.abs(model.extractor.layers[0].grad_weight).sum() > 0
+
+    def test_standalone_conv1d_still_returns_dx(self):
+        layer = Conv1d(2, 3, 3, 2, rng=np.random.default_rng(39))
+        x = np.random.default_rng(40).standard_normal((2, 2, 11))
+        dx, grads = _forward_backward(layer, x)
+        assert dx.shape == x.shape
+        y = layer.forward(x, train=True)
+        g = np.random.default_rng(1).standard_normal(y.shape)
+        assert layer.backward(g, input_grad=False) is None
+        for k, v in layer.named_grads().items():
+            assert np.array_equal(v, grads[k]), k
+
+
+# -- Oracles: BatchNorm, Pool2d and the depthwise backward as they were before
+# the in-place and strided-view rewrites. The layers must match them bitwise.
+
+class OldBatchNorm(BatchNorm):
+    def forward(self, x, train=False):
+        bshape = self._bshape(x.ndim)
+        axes = (0,) + tuple(range(2, x.ndim))
+        if train:
+            mu = x.mean(axis=axes)
+            var = x.var(axis=axes)
+            mask = var > VAR_FLOOR
+            var_f = np.maximum(var, VAR_FLOOR)
+            inv = 1.0 / np.sqrt(var_f + self.epsilon)
+            xm = x - mu.reshape(bshape)
+            xhat = xm * inv.reshape(bshape)
+            if self.update_running:
+                self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mu
+                self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
+            m = x.size // self.channels
+            self._cache = (xm, xhat, inv, mask, m, axes)
+        else:
+            inv = 1.0 / np.sqrt(np.maximum(self.running_var, VAR_FLOOR) + self.epsilon)
+            xhat = (x - self.running_mean.reshape(bshape)) * inv.reshape(bshape)
+            self._cache = None
+        return self.gamma.reshape(bshape) * xhat + self.beta.reshape(bshape)
+
+    def backward(self, grad):
+        xm, xhat, inv, mask, m, axes = self._take_cache()
+        bshape = self._bshape(grad.ndim)
+        self.grad_gamma = (grad * xhat).sum(axis=axes)
+        self.grad_beta = grad.sum(axis=axes)
+        dxhat = grad * self.gamma.reshape(bshape)
+        dvar = (dxhat * xm).sum(axis=axes) * (-0.5) * inv**3 * mask
+        dmu = -(dxhat.sum(axis=axes)) * inv + dvar * (-2.0 / m) * xm.sum(axis=axes)
+        return (
+            dxhat * inv.reshape(bshape)
+            + dvar.reshape(bshape) * 2.0 * xm / m
+            + dmu.reshape(bshape) / m
+        )
+
+
+class OldPool2d(Pool2d):
+    def forward(self, x, train=False):
+        b, c, h, w = x.shape
+        h2, w2 = h // 2, w // 2
+        blocks = (
+            x[:, :, : 2 * h2, : 2 * w2]
+            .reshape(b, c, h2, 2, w2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(b, c, h2, w2, 4)
+        )
+        if self.kind == "max":
+            idx = blocks.argmax(axis=-1)
+            y = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+            self._cache = (x.shape, idx) if train else None
+        else:
+            y = blocks.mean(axis=-1)
+            self._cache = x.shape if train else None
+        return y
+
+    def backward(self, grad):
+        cache = self._take_cache()
+        if self.kind == "max":
+            x_shape, idx = cache
+        else:
+            x_shape = cache
+        b, c, h, w = x_shape
+        h2, w2 = h // 2, w // 2
+        dblocks = np.zeros((b, c, h2, w2, 4), dtype=FLOAT)
+        if self.kind == "max":
+            np.put_along_axis(dblocks, idx[..., None], grad[..., None], axis=-1)
+        else:
+            dblocks += (grad / 4.0)[..., None]
+        dx = np.zeros(x_shape, dtype=FLOAT)
+        dx[:, :, : 2 * h2, : 2 * w2] = (
+            dblocks.reshape(b, c, h2, w2, 2, 2)
+            .transpose(0, 1, 2, 4, 3, 5)
+            .reshape(b, c, 2 * h2, 2 * w2)
+        )
+        return dx
+
+
+class OldDepthwiseConv1d(DepthwiseConv1d):
+    def backward(self, grad):
+        x_shape, windows = self._take_cache()
+        self.grad_kernels = np.einsum("bclk,bcl->ck", windows, grad)
+        self.grad_bias = grad.sum(axis=(0, 2))
+        dx = np.zeros(x_shape, dtype=FLOAT)
+        l_out = grad.shape[2]
+        for t in range(self.kernel):
+            dx[:, :, t : t + self.stride * l_out : self.stride] += (
+                grad * self.kernels[:, t][None, :, None]
+            )
+        return dx
+
+
+def assert_bitwise(a, b, what=""):
+    a, b = np.asarray(a, dtype=FLOAT), np.asarray(b, dtype=FLOAT)
+    assert a.shape == b.shape, what
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), what
+
+
+def _pair(old, new, x, grad):
+    """Train forward and backward on both layers; asserts y, dx and the grads are bitwise equal."""
+    assert_bitwise(old.forward(x, train=True), new.forward(x, train=True), "y")
+    assert_bitwise(old.backward(grad), new.backward(grad), "dx")
+    old_grads, new_grads = old.named_grads(), new.named_grads()
+    assert old_grads.keys() == new_grads.keys()
+    for k in old_grads:
+        assert_bitwise(old_grads[k], new_grads[k], k)
+
+
+class TestBitwiseAgainstOldCode:
+    @pytest.mark.parametrize("shape", [(4, 3, 7), (2, 3, 9, 6), (5, 3)])
+    def test_batchnorm(self, shape):
+        rng = np.random.default_rng(50)
+        old, new = OldBatchNorm(3), BatchNorm(3)
+        old.gamma[:] = rng.uniform(0.5, 1.5, 3)
+        old.beta[:] = rng.standard_normal(3)
+        new.gamma[:], new.beta[:] = old.gamma, old.beta
+        for step in range(3):
+            x = rng.standard_normal(shape) * 2.0 + 1.0
+            x[:, 1] = 4.0  # a constant channel: the variance floor masks it
+            _pair(old, new, x, rng.standard_normal(shape))
+            for k in ("running_mean", "running_var"):
+                assert_bitwise(getattr(old, k), getattr(new, k), k)
+        x = rng.standard_normal(shape)
+        assert_bitwise(old.forward(x), new.forward(x), "eval y")
+
+    @pytest.mark.parametrize("kind", ["max", "avg"])
+    @pytest.mark.parametrize("shape", [(2, 3, 7, 9), (1, 2, 6, 4), (2, 1, 3, 2)])
+    def test_pool(self, kind, shape):
+        rng = np.random.default_rng(51)
+        # post-ReLU-like input in coarse steps: many tied zeros and tied maxima
+        x = np.maximum(np.round(rng.standard_normal(shape) * 2.0) / 2.0, 0.0)
+        old, new = OldPool2d(kind), Pool2d(kind)
+        grad = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+        _pair(old, new, x, grad)
+        assert_bitwise(old.forward(x), new.forward(x), "eval y")
+
+    def test_max_pool_ties_route_to_first_corner(self):
+        x = np.zeros((1, 1, 3, 5))
+        x[0, 0, :2, 2:4] = [[1.0, 2.0], [2.0, 2.0]]
+        old, new = OldPool2d("max"), Pool2d("max")
+        _pair(old, new, x, np.arange(1.0, 3.0).reshape(1, 1, 1, 2))
+        new.forward(x, train=True)
+        assert new.backward(np.ones((1, 1, 1, 2)))[0, 0].tolist() == [
+            [1.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 5]
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_depthwise_backward(self, stride):
+        rng = np.random.default_rng(52 + stride)
+        old = OldDepthwiseConv1d(4, 5, stride, rng=np.random.default_rng(7))
+        new = DepthwiseConv1d(4, 5, stride, rng=np.random.default_rng(7))
+        x = rng.standard_normal((3, 4, 20))
+        l_out = new.forward(x).shape[2]
+        grad = rng.standard_normal((l_out, 4, 3)).transpose(2, 1, 0)  # not C-contiguous
+        assert not grad.flags.c_contiguous
+        _pair(old, new, x, grad)
 
 
 class TestDwsFusionEquivalence:

@@ -44,6 +44,15 @@ class TestIm2col:
         with pytest.raises(ShapeError):
             conv_output_length(5, 3, 1, 3)
 
+    def test_over_long_kernel_is_worded_by_case(self):
+        with pytest.raises(ShapeError) as exc:
+            conv_output_length(14, 15, 2)
+        assert str(exc.value) == "kernel span 15 (kernel 15) exceeds input extent 14"
+        with pytest.raises(ShapeError) as exc:
+            conv_output_length(24, 3, 1, 12)
+        assert str(exc.value) == ("dilated kernel span 25 (kernel 3, dilation 12) "
+                                  "exceeds input extent 24")
+
 
 class TestDirectVsIm2colGemm:
     """The naive loop convolution is the oracle for the GEMM lowering."""
