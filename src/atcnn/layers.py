@@ -17,9 +17,9 @@ Backward returns the input gradient as a C-contiguous array (the next
 layer's reductions sum in memory order) and stores parameter gradients on
 the layer (`grad_*` attributes, exposed via `named_grads`). Convolution
 weight gradients are summed over the batch as 2-D BLAS GEMMs
-(`_weight_grad`). The convolutions take `input_grad=False` to skip the
-input gradient; `Model.backward` uses it on the first extractor layer,
-whose input is the waveform.
+(`_weight_grad`). `Conv1d.backward` takes `input_grad=False` to skip the
+input gradient; `Model.backward` uses it on the first extractor layer, a
+`Conv1d` whose input is the waveform.
 
 BatchNorm, Pool2d and the depthwise backward evaluate every reduction and
 elementwise expression of the plain formulas in the same order; only memory
@@ -175,12 +175,10 @@ class DepthwiseConv1d(Layer):
         self._cache = (x.shape, windows) if train else None
         return y
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad):
         x_shape, windows = self._take_cache()
         self.grad_kernels = np.einsum("bclk,bcl->ck", windows, grad)
         self.grad_bias = grad.sum(axis=(0, 2))
-        if not input_grad:
-            return None
         # Time-major [L, B, C]: each tap adds whole contiguous [B, C] planes. Every
         # element gets the same products added in the same tap order as when
         # accumulating in [B, C, L], so dx has the same bits.
@@ -191,6 +189,7 @@ class DepthwiseConv1d(Layer):
         for t in range(self.kernel):
             np.multiply(g, self.kernels[:, t], out=term)
             dx[t : t + self.stride * g.shape[0] : self.stride] += term
+        del g, term  # free both before the [B, C, L_in] copy is made
         return np.ascontiguousarray(dx.transpose(1, 2, 0))
 
 
@@ -217,11 +216,11 @@ class PointwiseConv(Layer):
         self._cache = x if train else None
         return y
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad):
         x = self._take_cache()
         self.grad_weights = _weight_grad(grad, x)
         self.grad_bias = grad.sum(axis=(0, 2))
-        return np.matmul(self.weights.T, grad) if input_grad else None
+        return np.matmul(self.weights.T, grad)
 
 
 class BatchNorm(Layer):
@@ -515,7 +514,9 @@ class Sequential(Layer):
 
     def backward(self, grad, input_grad=True):
         """Backpropagate through every layer; ``input_grad=False`` has the first
-        layer (a convolution) skip its input gradient and returns None."""
+        layer skip its input gradient and returns None. Only `Conv1d` takes
+        ``input_grad``, so with ``input_grad=False`` the first layer must be a
+        `Conv1d`, as in both built-in profiles."""
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
         first = self.layers[0]
