@@ -9,7 +9,7 @@ with propeller-style amplitude modulation).
 from __future__ import annotations
 
 import wave
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -36,6 +36,7 @@ class FrameSequence:
     frames: np.ndarray  # [T, N]
     segment_id: str = ""
     label: int = -1
+    class_name: str = ""  # the manifest's name for `label`
 
 
 def read_wav(path) -> SampleBuffer:
@@ -299,7 +300,8 @@ def write_synth_dataset(spec: SynthSpec, out_dir) -> Path:
 def load_dataset(data_dir, config) -> list[FrameSequence]:
     """Read a manifest directory into framed model inputs.
 
-    Files longer than 10 s contribute one FrameSequence per full segment.
+    Files longer than 10 s contribute one FrameSequence per full segment,
+    each carrying its manifest line's class index and class name.
     `config` needs sample_rate plus the framing attributes.
     """
     data_dir = Path(data_dir)
@@ -314,12 +316,13 @@ def load_dataset(data_dir, config) -> list[FrameSequence]:
         parts = line.split(",")
         if len(parts) < 3:
             raise FormatError(f"{manifest}:{lineno}: need 'path,class_index,class_name'")
-        rel, label = parts[0], int(parts[1])
+        rel, label, name = parts[0], int(parts[1]), parts[2]
         buffer = read_wav(data_dir / rel)
         if buffer.sample_rate != config.sample_rate:
             raise FormatError(
                 f"{data_dir / rel}: sample rate {buffer.sample_rate} does not match "
                 f"the configured {config.sample_rate}")
         for si, segment in enumerate(segment_audio(buffer)):
-            out.append(frame_segment(segment, config, segment_id=f"{rel}#{si}", label=label))
+            framed = frame_segment(segment, config, segment_id=f"{rel}#{si}", label=label)
+            out.append(replace(framed, class_name=name))
     return out

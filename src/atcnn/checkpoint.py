@@ -25,10 +25,6 @@ MAGIC = b"ATCNNCK\x01"
 VERSION = 1
 
 
-def _config_to_dict(config: ModelConfig) -> dict:
-    return asdict(config)
-
-
 def _config_from_dict(d: dict) -> ModelConfig:
     d = dict(d)
     d["extractor"] = tuple(ExtractorLayerSpec(**e) for e in d["extractor"])
@@ -53,7 +49,7 @@ def save_checkpoint(model: Model, path, seed: int = 0, epoch: int = 0) -> None:
     with open(path, "wb") as out:
         out.write(MAGIC)
         out.write(struct.pack("<I", VERSION))
-        blob = json.dumps(_config_to_dict(model.config)).encode("utf-8")
+        blob = json.dumps(asdict(model.config)).encode("utf-8")
         out.write(struct.pack("<I", len(blob)))
         out.write(blob)
         out.write(struct.pack("<qI", seed, epoch))

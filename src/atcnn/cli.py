@@ -102,11 +102,11 @@ def _model_config(run: RunConfig):
 
 
 def _load_split(run: RunConfig, model_config):
+    """The dataset's stratified (train, test) FrameSequence lists."""
     if not run.data:
         raise ConfigurationError("--data DIR (or a 'data' config key) is required")
     dataset = audio.load_dataset(run.data, model_config)
-    train_fs, test_fs = audio.split_dataset(dataset, fraction=0.8, seed=run.seed)
-    return optim.stack_dataset(train_fs), optim.stack_dataset(test_fs)
+    return audio.split_dataset(dataset, fraction=0.8, seed=run.seed)
 
 
 def cmd_synth(args) -> int:
@@ -121,7 +121,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     run = _run_config(args)
     model_config = _model_config(run)
-    (train_xs, train_labels), (test_xs, test_labels) = _load_split(run, model_config)
+    train_fs, test_fs = _load_split(run, model_config)
     model = build_model(model_config, seed=run.seed)
 
     out_dir = Path(run.out)
@@ -136,8 +136,8 @@ def cmd_train(args) -> int:
         print(line)
 
     print(lines[0])
-    history = optim.train(model, train_xs, train_labels, test_xs, test_labels,
-                          seed=run.seed, log=log)
+    history = optim.train(model, *optim.stack_dataset(train_fs),
+                          *optim.stack_dataset(test_fs), seed=run.seed, log=log)
     stats_path.write_text("\n".join(lines) + "\n")
 
     ckpt_path = Path(args.checkpoint) if args.checkpoint else out_dir / "atcnn.ckpt"
@@ -152,11 +152,17 @@ def cmd_eval(args) -> int:
         raise ConfigurationError("--checkpoint PATH is required")
     expect = _model_config(run) if args.profile else None
     model, _meta = load_checkpoint(args.checkpoint, config=expect)
-    (_, _), (test_xs, test_labels) = _load_split(run, model.config)
+    _, test_fs = _load_split(run, model.config)
+    test_xs, test_labels = optim.stack_dataset(test_fs)
+    count = model.config.class_count
+    # manifest names are used only when they name exactly the model's classes
+    names = {fs.label: fs.class_name for fs in test_fs}
+    if sorted(names) != list(range(count)):
+        names = {i: f"class{i}" for i in range(count)}
+    class_names = tuple(names[i] for i in range(count))
 
     preds = model.predict_batch(test_xs)
-    class_names = _class_names(run, model.config.class_count)
-    cm = metrics_mod.confusion(preds, test_labels, model.config.class_count, class_names)
+    cm = metrics_mod.confusion(preds, test_labels, count, class_names)
     report = metrics_mod.metrics(cm)
 
     out_dir = Path(run.out)
@@ -172,20 +178,6 @@ def cmd_eval(args) -> int:
             metrics_mod.format_histogram_table(hists, class_names) + "\n")
     print(f"test_accuracy={report.accuracy:.4f}")
     return 0
-
-
-def _class_names(run: RunConfig, class_count: int) -> tuple[str, ...]:
-    if run.data:
-        manifest = Path(run.data) / "manifest.txt"
-        if manifest.exists():
-            names: dict[int, str] = {}
-            for line in manifest.read_text().splitlines():
-                parts = line.strip().split(",")
-                if len(parts) >= 3:
-                    names[int(parts[1])] = parts[2]
-            if len(names) == class_count:
-                return tuple(names[i] for i in range(class_count))
-    return tuple(f"class{i}" for i in range(class_count))
 
 
 def cmd_resources(args) -> int:

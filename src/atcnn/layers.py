@@ -13,13 +13,18 @@ new train-mode forward raises `StateError`. What train mode caches:
 - `Pool2d`: the input shape, plus a uint8 winner index per output for max.
   Pooling works on strided views of the four corners of each 2x2 block.
 
+`Conv1d` and `DilatedConv2d` are one operation with two geometries: both
+subclass `Im2colConv`, which lowers a valid convolution to one GEMM over
+patch columns (Chellapilla et al. 2006) given its `(kernel, strides,
+dilations)`, and keep only a constructor that sets that geometry.
+
 Backward returns the input gradient as a C-contiguous array (the next
 layer's reductions sum in memory order) and stores parameter gradients on
 the layer (`grad_*` attributes, exposed via `named_grads`). Convolution
 weight gradients are summed over the batch as 2-D BLAS GEMMs
-(`_weight_grad`). `Conv1d.backward` takes `input_grad=False` to skip the
-input gradient; `Model.backward` uses it on the first extractor layer, a
-`Conv1d` whose input is the waveform.
+(`_weight_grad`). Only the `Im2colConv` layers take `input_grad=False`
+on backward, which skips the input gradient; `Model.backward` uses it on
+the first extractor layer, a `Conv1d` whose input is the waveform.
 
 BatchNorm, Pool2d and the depthwise backward evaluate every reduction and
 elementwise expression of the plain formulas in the same order; only memory
@@ -28,6 +33,8 @@ of the plain code, which the tests keep as the oracle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -109,44 +116,64 @@ class Layer:
         return cache
 
 
-class Conv1d(Layer):
-    """Standard 1-d convolution (cross-correlation), valid padding."""
+class Im2colConv(Layer):
+    """A valid convolution lowered to one GEMM over `im2col_batch` patch columns.
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int, stride: int = 1,
-                 rng: np.random.Generator | None = None):
+    `weight` is [O, C, *kernel]; the lowering is the `(kernel, strides,
+    dilations)` triple that `im2col_batch` and `col2im_batch` take, one
+    entry per spatial axis. Subclasses only set the geometry.
+    """
+
+    def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, ...],
+                 strides: tuple[int, ...], dilations: tuple[int, ...],
+                 rng: np.random.Generator | None):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel = kernel
-        self.stride = stride
-        self.weight = np.zeros((out_channels, in_channels, kernel), dtype=FLOAT)
+        self._lowering = (kernel, strides, dilations)
+        self.weight = np.zeros((out_channels, in_channels) + kernel, dtype=FLOAT)
         self.bias = np.zeros(out_channels, dtype=FLOAT)
         if rng is not None:
+            taps = math.prod(kernel)
             self.weight[:] = glorot_uniform(
-                rng, self.weight.shape, in_channels * kernel, out_channels * kernel)
+                rng, self.weight.shape, in_channels * taps, out_channels * taps)
         self._cache = None
 
     def named_params(self):
         return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x, train=False):
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise ShapeError(f"Conv1d expects [B, {self.in_channels}, L], got {x.shape}")
-        cols = im2col_batch(x, (self.kernel,), (self.stride,))
-        w_mat = self.weight.reshape(self.out_channels, -1)
-        y = np.matmul(w_mat, cols) + self.bias[:, None]
+        kernel, strides, dilations = self._lowering
+        if x.ndim != len(kernel) + 2 or x.shape[1] != self.in_channels:
+            raise ShapeError(f"{type(self).__name__} expects {len(kernel) + 2}-d input with "
+                             f"{self.in_channels} channels on axis 1, got {x.shape}")
+        out = tuple(map(conv_output_length, x.shape[2:], kernel, strides, dilations))
+        cols = im2col_batch(x, kernel, strides, dilations)
+        y = np.matmul(self.weight.reshape(self.out_channels, -1), cols) + self.bias[:, None]
         self._cache = x if train else None
-        return y
+        return y.reshape((x.shape[0], self.out_channels) + out)
 
     def backward(self, grad, input_grad=True):
+        """``input_grad=False`` skips the input gradient and returns None."""
         x = self._take_cache()
-        cols = im2col_batch(x, (self.kernel,), (self.stride,))
-        self.grad_weight = _weight_grad(grad, cols).reshape(self.weight.shape)
+        g_mat = grad.reshape(grad.shape[0], self.out_channels, -1)
+        cols = im2col_batch(x, *self._lowering)
+        self.grad_weight = _weight_grad(g_mat, cols).reshape(self.weight.shape)
         del cols  # free the patch matrix before dcols, which is as large, is made
-        self.grad_bias = grad.sum(axis=(0, 2))
+        self.grad_bias = g_mat.sum(axis=(0, 2))
         if not input_grad:
             return None
-        dcols = np.matmul(self.weight.reshape(self.out_channels, -1).T, grad)
-        return col2im_batch(dcols, x.shape, (self.kernel,), (self.stride,))
+        dcols = np.matmul(self.weight.reshape(self.out_channels, -1).T, g_mat)
+        return col2im_batch(dcols, x.shape, *self._lowering)
+
+
+class Conv1d(Im2colConv):
+    """Standard 1-d convolution (cross-correlation) over [B, C, L], valid padding."""
+
+    def __init__(self, in_channels: int, out_channels: int, kernel: int, stride: int = 1,
+                 rng: np.random.Generator | None = None):
+        self.kernel = kernel
+        self.stride = stride
+        super().__init__(in_channels, out_channels, (kernel,), (stride,), (1,), rng)
 
 
 class DepthwiseConv1d(Layer):
@@ -227,9 +254,11 @@ class BatchNorm(Layer):
     """Per-channel batch normalization with running statistics.
 
     Train mode normalizes by the biased batch mean/variance pooled over all
-    non-channel axes (variance floored at 1e-12 before the sqrt); eval mode
-    uses the running statistics. `update_running` can be cleared to make
-    train-mode forwards side-effect free (gradient checking).
+    non-channel axes (variance floored at 1e-12 before the sqrt) and moves
+    the running statistics toward them by `momentum`; eval mode normalizes
+    by the running statistics. A train-mode output never reads the running
+    statistics, so callers that must leave them alone (`gradient_check`)
+    save and restore `named_buffers()`.
     """
 
     def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.9):
@@ -240,7 +269,6 @@ class BatchNorm(Layer):
         self.beta = np.zeros(channels, dtype=FLOAT)
         self.running_mean = np.zeros(channels, dtype=FLOAT)
         self.running_var = np.ones(channels, dtype=FLOAT)
-        self.update_running = True
         self._cache = None
 
     def named_params(self):
@@ -267,9 +295,8 @@ class BatchNorm(Layer):
             var_f = np.maximum(var, VAR_FLOOR)
             inv = 1.0 / np.sqrt(var_f + self.epsilon)
             np.multiply(xm, inv.reshape(bshape), out=y)  # xhat
-            if self.update_running:
-                self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mu
-                self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mu
+            self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
             self._cache = (xm, inv, mask, m, axes)
         else:
             inv = 1.0 / np.sqrt(np.maximum(self.running_var, VAR_FLOOR) + self.epsilon)
@@ -315,50 +342,16 @@ class ReLU(Layer):
         return None if self._cache is None else hash(self._cache.tobytes())
 
 
-class DilatedConv2d(Layer):
-    """2-d convolution dilated along the height (time) axis only, stride 1."""
+class DilatedConv2d(Im2colConv):
+    """2-d convolution over [B, C, H, W], dilated along the height (time) axis only, stride 1."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel_h: int, kernel_w: int,
                  dilation: int, rng: np.random.Generator | None = None):
-        self.in_channels = in_channels
-        self.out_channels = out_channels
         self.kernel_h = kernel_h
         self.kernel_w = kernel_w
         self.dilation = dilation
-        self.weight = np.zeros((out_channels, in_channels, kernel_h, kernel_w), dtype=FLOAT)
-        self.bias = np.zeros(out_channels, dtype=FLOAT)
-        if rng is not None:
-            taps = kernel_h * kernel_w
-            self.weight[:] = glorot_uniform(
-                rng, self.weight.shape, in_channels * taps, out_channels * taps)
-        self._cache = None
-
-    def named_params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def forward(self, x, train=False):
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise ShapeError(f"DilatedConv2d expects [B, {self.in_channels}, H, W], got {x.shape}")
-        h_out = conv_output_length(x.shape[2], self.kernel_h, 1, self.dilation)
-        w_out = conv_output_length(x.shape[3], self.kernel_w, 1, 1)
-        cols = im2col_batch(x, (self.kernel_h, self.kernel_w), (1, 1), (self.dilation, 1))
-        w_mat = self.weight.reshape(self.out_channels, -1)
-        y = (np.matmul(w_mat, cols) + self.bias[:, None]).reshape(
-            x.shape[0], self.out_channels, h_out, w_out)
-        self._cache = x if train else None
-        return y
-
-    def backward(self, grad):
-        x = self._take_cache()
-        kernel, dilations = (self.kernel_h, self.kernel_w), (self.dilation, 1)
-        g_mat = grad.reshape(grad.shape[0], self.out_channels, -1)
-        w_mat = self.weight.reshape(self.out_channels, -1)
-        cols = im2col_batch(x, kernel, (1, 1), dilations)
-        self.grad_weight = _weight_grad(g_mat, cols).reshape(self.weight.shape)
-        del cols  # free the patch matrix before dcols, which is as large, is made
-        self.grad_bias = g_mat.sum(axis=(0, 2))
-        dcols = np.matmul(w_mat.T, g_mat)
-        return col2im_batch(dcols, x.shape, kernel, (1, 1), dilations)
+        super().__init__(in_channels, out_channels, (kernel_h, kernel_w), (1, 1),
+                         (dilation, 1), rng)
 
 
 def _corners(x: np.ndarray, h2: int, w2: int) -> list[np.ndarray]:
@@ -514,9 +507,10 @@ class Sequential(Layer):
 
     def backward(self, grad, input_grad=True):
         """Backpropagate through every layer; ``input_grad=False`` has the first
-        layer skip its input gradient and returns None. Only `Conv1d` takes
-        ``input_grad``, so with ``input_grad=False`` the first layer must be a
-        `Conv1d`, as in both built-in profiles."""
+        layer skip its input gradient and returns None. Only `Im2colConv`
+        layers (`Conv1d`, `DilatedConv2d`) take ``input_grad``, so with
+        ``input_grad=False`` the first layer must be one, as the `Conv1d` that
+        starts both built-in profiles' extractors is."""
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
         first = self.layers[0]

@@ -384,12 +384,6 @@ class Model:
     def param_count(self) -> int:
         return sum(v.size for v in self.named_params().values())
 
-    def _set_running_updates(self, flag: bool):
-        for seq in (self.extractor, self.dilated):
-            for layer in seq.layers:
-                if isinstance(layer, BatchNorm):
-                    layer.update_running = flag
-
     # -- forward / backward
 
     def _check_segment_shape(self, xs: np.ndarray):
@@ -397,25 +391,18 @@ class Model:
         if xs.ndim != 3 or xs.shape[1:] != (t, n):
             raise ShapeError(f"expected segments shaped [B, {t}, {n}], got {xs.shape}")
 
-    def forward_batch(self, xs: np.ndarray, train: bool = False,
-                      update_running: bool = True) -> np.ndarray:
+    def forward_batch(self, xs: np.ndarray, train: bool = False) -> np.ndarray:
         """Segments [B, T, N] -> class probabilities [B, C]."""
         xs = np.asarray(xs, dtype=FLOAT)
         self._check_segment_shape(xs)
         b, t, n = xs.shape
-        if train and not update_running:
-            self._set_running_updates(False)
-        try:
-            frames = xs.reshape(b * t, 1, n)
-            feats = self.extractor.forward(frames, train=train)
-            self._feat_shape = feats.shape
-            integ = feats.reshape(b, 1, t, self.config.feature_length)
-            flat = self.dilated.forward(integ, train=train)
-            logits = self.classifier.forward(flat, train=train)
-            return self.head.forward(logits, train=train)
-        finally:
-            if train and not update_running:
-                self._set_running_updates(True)
+        frames = xs.reshape(b * t, 1, n)
+        feats = self.extractor.forward(frames, train=train)
+        self._feat_shape = feats.shape
+        integ = feats.reshape(b, 1, t, self.config.feature_length)
+        flat = self.dilated.forward(integ, train=train)
+        logits = self.classifier.forward(flat, train=train)
+        return self.head.forward(logits, train=train)
 
     def backward(self, labels: np.ndarray) -> None:
         """Backpropagate the loss against `labels` through every layer."""
@@ -426,27 +413,25 @@ class Model:
         self.extractor.backward(dfeats, input_grad=False)  # the waveform gradient is unused
 
     def loss(self, xs: np.ndarray, labels: np.ndarray) -> float:
-        """Pure train-mode loss (running statistics untouched)."""
-        probs = self.forward_batch(xs, train=True, update_running=False)
-        return self.head.loss(probs, labels)
+        """Train-mode loss; like every train-mode forward, it moves the running statistics."""
+        return self.head.loss(self.forward_batch(xs, train=True), labels)
 
     def activation_signature(self):
         """Linear-region fingerprint of the last train-mode forward."""
         return hash((self.extractor.activation_signature(),
                      self.dilated.activation_signature()))
 
-    def loss_and_grads(self, xs: np.ndarray, labels: np.ndarray,
-                       update_running: bool = True):
+    def loss_and_grads(self, xs: np.ndarray, labels: np.ndarray):
         """One train-mode pass; returns (mean loss, probs [B, C], grads dict)."""
-        probs = self.forward_batch(xs, train=True, update_running=update_running)
+        probs = self.forward_batch(xs, train=True)
         value = self.head.loss(probs, labels)
         self.backward(labels)
         return value, probs, self.named_grads()
 
-    def forward_segment(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        """One segment [T, N] -> probability vector [C]."""
+    def forward_segment(self, x: np.ndarray) -> np.ndarray:
+        """One segment [T, N] -> eval-mode probability vector [C]."""
         x = np.asarray(x, dtype=FLOAT)
-        return self.forward_batch(x[np.newaxis], train=train)[0]
+        return self.forward_batch(x[np.newaxis])[0]
 
     def extract_features(self, x: np.ndarray) -> np.ndarray:
         """One segment [T, N] -> per-frame feature matrix [T, F] (eval mode)."""

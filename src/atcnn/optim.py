@@ -57,29 +57,32 @@ class RmsProp:
 class StackFragment:
     """A layer stack plus softmax-cross-entropy head, checkable end to end.
 
-    The stack must map its input to [B, C] logits. Running-statistic updates
-    are disabled on construction so repeated loss evaluations are pure.
+    The stack must map its input to [B, C] logits. It offers the methods of
+    `Model` that `gradient_check` calls, so one layer can be checked alone.
     """
 
     def __init__(self, layers: list):
         self.stack = Sequential(layers)
         self.head = SoftmaxCrossEntropy()
-        for layer in layers:
-            if hasattr(layer, "update_running"):
-                layer.update_running = False
 
     def named_params(self):
         return self.stack.named_params()
 
+    def named_buffers(self):
+        return self.stack.named_buffers()
+
+    def _probs(self, x: np.ndarray) -> np.ndarray:
+        return self.head.forward(self.stack.forward(x, train=True), train=True)
+
     def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
-        logits = self.stack.forward(x, train=True)
-        probs = self.head.forward(logits, train=True)
-        return self.head.loss(probs, labels)
+        return self.head.loss(self._probs(x), labels)
 
     def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
-        value = self.loss(x, labels)
+        """One train-mode pass; returns (mean loss, probs [B, C], grads dict)."""
+        probs = self._probs(x)
+        value = self.head.loss(probs, labels)
         self.stack.backward(self.head.backward(labels))
-        return value, self.stack.named_grads()
+        return value, probs, self.stack.named_grads()
 
     def activation_signature(self):
         return self.stack.activation_signature()
@@ -104,42 +107,50 @@ def gradient_check(fragment, x: np.ndarray, labels: np.ndarray, step: float = 1e
     evaluations land on different regions, a ReLU or max-pool kink lies
     inside the interval, so that coordinate has no valid oracle and is
     skipped.
-    """
-    out = fragment.loss_and_grads(x, labels)
-    value, grads = (out[0], out[-1])
-    if not np.isfinite(value):
-        raise ValueError(f"loss is not finite: {value}")
-    params = fragment.named_params()
-    signature = getattr(fragment, "activation_signature", lambda: None)
-    rng = np.random.default_rng(seed)
 
-    worst = 0.0
-    for name, p in params.items():
-        flat = p.reshape(-1)
-        n_coords = flat.size
-        if max_coords_per_param is not None and n_coords > max_coords_per_param:
-            coords = rng.choice(n_coords, size=max_coords_per_param, replace=False)
-        else:
-            coords = range(n_coords)
-        g = grads[name].reshape(-1)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + step
-            lp = fragment.loss(x, labels)
-            sig_p = signature()
-            flat[idx] = orig - step
-            lm = fragment.loss(x, labels)
-            sig_m = signature()
-            flat[idx] = orig
-            if sig_p != sig_m:
-                continue  # kink inside the interval; no valid central difference
-            numeric = (lp - lm) / (2.0 * step)
-            analytic = g[idx]
-            if abs(analytic - numeric) <= atol:
-                continue
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+    Every train-mode forward moves batch-norm running statistics, so the
+    fragment's `named_buffers()` are saved on entry and restored on exit:
+    the check leaves the fragment's eval-mode outputs as they were.
+    """
+    saved = {name: b.copy() for name, b in fragment.named_buffers().items()}
+    try:
+        value, _, grads = fragment.loss_and_grads(x, labels)
+        if not np.isfinite(value):
+            raise ValueError(f"loss is not finite: {value}")
+        params = fragment.named_params()
+        signature = getattr(fragment, "activation_signature", lambda: None)
+        rng = np.random.default_rng(seed)
+
+        worst = 0.0
+        for name, p in params.items():
+            flat = p.reshape(-1)
+            n_coords = flat.size
+            if max_coords_per_param is not None and n_coords > max_coords_per_param:
+                coords = rng.choice(n_coords, size=max_coords_per_param, replace=False)
+            else:
+                coords = range(n_coords)
+            g = grads[name].reshape(-1)
+            for idx in coords:
+                orig = flat[idx]
+                flat[idx] = orig + step
+                lp = fragment.loss(x, labels)
+                sig_p = signature()
+                flat[idx] = orig - step
+                lm = fragment.loss(x, labels)
+                sig_m = signature()
+                flat[idx] = orig
+                if sig_p != sig_m:
+                    continue  # kink inside the interval; no valid central difference
+                numeric = (lp - lm) / (2.0 * step)
+                analytic = g[idx]
+                if abs(analytic - numeric) <= atol:
+                    continue
+                err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+                worst = max(worst, err)
+        return worst
+    finally:
+        for name, b in fragment.named_buffers().items():
+            b[...] = saved[name]
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,12 @@ class TestCommands:
         assert f"test_accuracy={final_test_acc}" in eval_out
         for artifact in ("metrics.txt", "metrics.kv", "confusion.tsv", "histograms.tsv"):
             assert (out_dir / artifact).exists(), artifact
+        # class names come from the synthesized manifest
+        names = ["small_ship", "ferry", "big_ship"]
+        confusion = (out_dir / "confusion.tsv").read_text().splitlines()
+        assert confusion[0].split("\t")[1:] == names
+        rows = (out_dir / "metrics.txt").read_text().splitlines()[1:4]
+        assert [row.split("\t")[0].split(" ")[0] for row in rows] == names
 
         # rerun with the same seed: identical artifacts apart from timing
         out_dir2 = tmp_path / "run2"

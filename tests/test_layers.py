@@ -471,9 +471,8 @@ class OldBatchNorm(BatchNorm):
             inv = 1.0 / np.sqrt(var_f + self.epsilon)
             xm = x - mu.reshape(bshape)
             xhat = xm * inv.reshape(bshape)
-            if self.update_running:
-                self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mu
-                self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
+            self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mu
+            self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
             m = x.size // self.channels
             self._cache = (xm, xhat, inv, mask, m, axes)
         else:
@@ -726,7 +725,7 @@ class TestPerLayerGradients:
         x = rng.standard_normal((1, 3, 8))
         frag = StackFragment([layer, Flatten()])
         labels = np.array([2])
-        _, grads = frag.loss_and_grads(x, labels)
+        _, _, grads = frag.loss_and_grads(x, labels)
         analytic = grads["0.kernels"].copy()
         h = 1e-5
         for idx in np.ndindex(layer.kernels.shape):

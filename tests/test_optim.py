@@ -3,7 +3,7 @@ import pytest
 
 from atcnn.audio import default_synth_spec, frame_segment, split_dataset, synth_dataset
 from atcnn.errors import InvalidLabelError, ShapeError
-from atcnn.layers import Flatten, Linear, ReLU
+from atcnn.layers import BatchNorm, Flatten, Linear, ReLU
 from atcnn.model import build_model, desk_profile
 from atcnn.optim import (
     RmsProp,
@@ -104,11 +104,41 @@ class TestGradientCheck:
             def named_params(self):
                 return {}
 
+            def named_buffers(self):
+                return {}
+
             def loss_and_grads(self, x, y):
-                return float("nan"), {}
+                return float("nan"), np.full((1, 2), 0.5), {}
 
         with pytest.raises(ValueError):
             gradient_check(Bad(), np.zeros(1), np.zeros(1))
+
+    @staticmethod
+    def _check_leaves_buffers(fragment, x, labels, eval_forward, **kwargs):
+        """Buffers and eval-mode outputs are bitwise the same after the check."""
+        buffers = {k: v.copy() for k, v in fragment.named_buffers().items()}
+        before = eval_forward()
+        gradient_check(fragment, x, labels, step=1e-5, **kwargs)
+        after = fragment.named_buffers()
+        assert buffers and buffers.keys() == after.keys()
+        for k in buffers:
+            assert np.array_equal(buffers[k].view(np.uint64), after[k].view(np.uint64)), k
+        assert np.array_equal(before.view(np.uint64), eval_forward().view(np.uint64))
+
+    def test_model_running_statistics_restored(self):
+        cfg = desk_profile()
+        model = build_model(cfg, seed=2)
+        xs = np.random.default_rng(8).standard_normal(
+            (2, cfg.frames_per_segment, cfg.frame_length))
+        assert len(model.named_buffers()) == 20
+        self._check_leaves_buffers(model, xs, np.array([0, 2]),
+                                   lambda: model.forward_batch(xs), max_coords_per_param=1)
+
+    def test_fragment_running_statistics_restored(self):
+        rng = np.random.default_rng(9)
+        frag = StackFragment([BatchNorm(3), Flatten()])
+        x = rng.standard_normal((2, 3, 4)) * 2.0 + 1.0
+        self._check_leaves_buffers(frag, x, np.array([1, 5]), lambda: frag.stack.forward(x))
 
 
 def _tiny_desk_dataset(counts=(4, 4, 4), seed=7):
