@@ -316,7 +316,12 @@ def load_dataset(data_dir, config) -> list[FrameSequence]:
         parts = line.split(",")
         if len(parts) < 3:
             raise FormatError(f"{manifest}:{lineno}: need 'path,class_index,class_name'")
-        rel, label, name = parts[0], int(parts[1]), parts[2]
+        rel, label, name = parts[:3]
+        try:
+            label = int(label)
+        except ValueError:
+            raise FormatError(
+                f"{manifest}:{lineno}: class index {label!r} is not an integer") from None
         buffer = read_wav(data_dir / rel)
         if buffer.sample_rate != config.sample_rate:
             raise FormatError(

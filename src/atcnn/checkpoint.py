@@ -3,7 +3,7 @@
 Layout: magic, version, JSON-serialized model config, training metadata,
 then length-prefixed named float64 tensors (parameters, then batch-norm
 running statistics). Loading verifies every byte so truncation or a shape
-mismatch against the requested configuration fails loudly.
+mismatch against the embedded configuration fails loudly.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import struct
 from dataclasses import asdict
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -89,12 +88,12 @@ def _read_tensors(r: _Reader) -> dict[str, np.ndarray]:
     return out
 
 
-def load_checkpoint(path, config: Optional[ModelConfig] = None) -> tuple[Model, dict]:
+def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild a model from a checkpoint; bitwise round trip of all tensors.
 
-    When `config` is given it overrides the embedded one and every stored
-    tensor must match it; the first mismatched tensor is named in the error.
-    Returns (model, {"seed": ..., "epoch": ...}).
+    The model is built from the embedded config, and every stored tensor
+    must match it; the first mismatched tensor is named in the error.
+    Returns (model, {"seed": training seed, "epoch": last epoch}).
     """
     path = Path(path)
     r = _Reader(path.read_bytes(), path)
@@ -105,7 +104,7 @@ def load_checkpoint(path, config: Optional[ModelConfig] = None) -> tuple[Model, 
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (blob_len,) = r.unpack("<I")
     try:
-        stored_config = _config_from_dict(json.loads(r.take(blob_len).decode("utf-8")))
+        config = _config_from_dict(json.loads(r.take(blob_len).decode("utf-8")))
     except (ValueError, TypeError, KeyError) as exc:
         raise CheckpointError(f"{path}: unreadable config block: {exc}") from exc
     seed, epoch = r.unpack("<qI")
@@ -114,7 +113,7 @@ def load_checkpoint(path, config: Optional[ModelConfig] = None) -> tuple[Model, 
     if r.pos != len(r.data):
         raise CheckpointError(f"{path}: {len(r.data) - r.pos} trailing bytes")
 
-    model = build_model(config if config is not None else stored_config, seed=0)
+    model = build_model(config, seed=0)
     for target, stored in ((model.named_params(), params), (model.named_buffers(), buffers)):
         for name, arr in target.items():
             if name not in stored:

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -15,6 +14,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import ConfigurationError
 from .model import (
     PROFILES,
+    ModelConfig,
     build_model,
     count_resources,
     format_resources,
@@ -30,27 +30,33 @@ EXHAUSTIVE_PARAM_LIMIT = 10_000
 @dataclass(frozen=True)
 class RunConfig:
     profile: str = "desk"
-    data: Optional[str] = None
+    data: str = ""
     out: str = "."
-    learning_rate: float = 1e-3
-    epochs: int = 100
-    batch_size: int = 8
+    learning_rate: float = ModelConfig.learning_rate
+    epochs: int = ModelConfig.epochs
+    batch_size: int = ModelConfig.batch_size
     seed: int = 0
-    rho: float = 0.9
+    rho: float = ModelConfig.rho
+
+    def __post_init__(self):
+        if self.profile not in PROFILES:
+            raise ConfigurationError(f"unknown profile {self.profile!r}")
+        if self.learning_rate <= 0:
+            raise ConfigurationError("learning_rate must be positive")
+        if self.epochs <= 0 or self.batch_size <= 0:
+            raise ConfigurationError("epochs and batch_size must be positive")
+        if not 0.0 < self.rho < 1.0:
+            raise ConfigurationError("rho must be in (0, 1)")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
+
+
+# each config key parses with the type of its default
+_KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def parse_config(path) -> RunConfig:
     """Line-oriented `key = value` run configuration; unknown keys are rejected."""
-    parsers = {
-        "profile": str,
-        "data": str,
-        "out": str,
-        "learning_rate": float,
-        "epochs": int,
-        "batch_size": int,
-        "seed": int,
-        "rho": float,
-    }
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -60,53 +66,32 @@ def parse_config(path) -> RunConfig:
             raise ConfigurationError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in parsers:
+        if key not in _KEY_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = parsers[key](value)
+            values[key] = _KEY_TYPES[key](value)
         except ValueError as exc:
             raise ConfigurationError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-
-    cfg = RunConfig(**values)
-    if cfg.profile not in PROFILES:
-        raise ConfigurationError(f"{path}: unknown profile {cfg.profile!r}")
-    if cfg.learning_rate <= 0:
-        raise ConfigurationError(f"{path}: learning_rate must be positive")
-    if cfg.epochs <= 0 or cfg.batch_size <= 0:
-        raise ConfigurationError(f"{path}: epochs and batch_size must be positive")
-    if not 0.0 < cfg.rho < 1.0:
-        raise ConfigurationError(f"{path}: rho must be in (0, 1)")
-    if cfg.seed < 0:
-        raise ConfigurationError(f"{path}: seed must be >= 0")
-    return cfg
+    try:
+        return RunConfig(**values)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _run_config(args) -> RunConfig:
+    """The --config file (or the defaults) with the subcommand's own options on top."""
     cfg = parse_config(args.config) if args.config else RunConfig()
-    overrides = {}
-    if getattr(args, "profile", None):
-        overrides["profile"] = args.profile
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "data", None):
-        overrides["data"] = args.data
-    if getattr(args, "out", None):
-        overrides["out"] = args.out
+    overrides = {key: getattr(args, key) for key in _KEY_TYPES
+                 if getattr(args, key, None) is not None}
     return replace(cfg, **overrides)
 
 
-def _model_config(run: RunConfig):
-    profile = get_profile(run.profile)
-    return replace(profile, learning_rate=run.learning_rate, rho=run.rho,
-                   epochs=run.epochs, batch_size=run.batch_size)
-
-
-def _load_split(run: RunConfig, model_config):
+def _load_split(data: str, model_config, seed: int):
     """The dataset's stratified (train, test) FrameSequence lists."""
-    if not run.data:
+    if not data:
         raise ConfigurationError("--data DIR (or a 'data' config key) is required")
-    dataset = audio.load_dataset(run.data, model_config)
-    return audio.split_dataset(dataset, fraction=0.8, seed=run.seed)
+    dataset = audio.load_dataset(data, model_config)
+    return audio.split_dataset(dataset, fraction=0.8, seed=seed)
 
 
 def cmd_synth(args) -> int:
@@ -120,8 +105,9 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     run = _run_config(args)
-    model_config = _model_config(run)
-    train_fs, test_fs = _load_split(run, model_config)
+    model_config = replace(get_profile(run.profile), learning_rate=run.learning_rate,
+                           rho=run.rho, epochs=run.epochs, batch_size=run.batch_size)
+    train_fs, test_fs = _load_split(run.data, model_config, run.seed)
     model = build_model(model_config, seed=run.seed)
 
     out_dir = Path(run.out)
@@ -150,16 +136,16 @@ def cmd_eval(args) -> int:
     run = _run_config(args)
     if not args.checkpoint:
         raise ConfigurationError("--checkpoint PATH is required")
-    expect = _model_config(run) if args.profile else None
-    model, _meta = load_checkpoint(args.checkpoint, config=expect)
-    _, test_fs = _load_split(run, model.config)
+    model, meta = load_checkpoint(args.checkpoint)
+    # the split seed is the one the model was trained with, so the test split is held out
+    _, test_fs = _load_split(run.data, model.config, meta["seed"])
     test_xs, test_labels = optim.stack_dataset(test_fs)
     count = model.config.class_count
     # manifest names are used only when they name exactly the model's classes
     names = {fs.label: fs.class_name for fs in test_fs}
-    if sorted(names) != list(range(count)):
-        names = {i: f"class{i}" for i in range(count)}
-    class_names = tuple(names[i] for i in range(count))
+    class_names = None
+    if sorted(names) == list(range(count)):
+        class_names = [names[i] for i in range(count)]
 
     preds = model.predict_batch(test_xs)
     cm = metrics_mod.confusion(preds, test_labels, count, class_names)
@@ -175,7 +161,7 @@ def cmd_eval(args) -> int:
         labels = np.repeat(test_labels, model.config.frames_per_segment)
         hists = metrics_mod.feature_histograms(feats, labels)
         (out_dir / "histograms.tsv").write_text(
-            metrics_mod.format_histogram_table(hists, class_names) + "\n")
+            metrics_mod.format_histogram_table(hists, cm.class_names) + "\n")
     print(f"test_accuracy={report.accuracy:.4f}")
     return 0
 
@@ -212,26 +198,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Raw-waveform ship-noise classifier: synthesis, training, "
                     "evaluation, and architecture reports.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    options = {
+        "--profile": dict(choices=sorted(PROFILES), help="architecture profile"),
+        "--seed": dict(type=int, help="random seed"),
+        "--out": dict(help="output directory"),
+        "--checkpoint": dict(help="checkpoint path"),
+        "--data": dict(help="dataset directory (WAVs + manifest.txt)"),
+        "--histograms": dict(action="store_true",
+                             help="also export per-feature class histograms"),
+    }
+    for name, func, names, help_text in (
+        ("synth", cmd_synth, "--profile --seed --out", "write a synthetic ship-noise dataset"),
+        ("train", cmd_train, "--profile --seed --out --checkpoint --data",
+         "train a model and write checkpoint + epoch stats"),
+        ("eval", cmd_eval, "--out --checkpoint --data --histograms",
+         "evaluate a checkpoint on the held-out split of its training seed"),
+        ("resources", cmd_resources, "--profile", "print per-layer mult-adds and parameter counts"),
+        ("gradcheck", cmd_gradcheck, "--profile --seed", "finite-difference check of all gradients"),
+        ("trace", cmd_trace, "--profile", "print the layer-by-layer shape trace"),
+    ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="run configuration file (key = value lines)")
-        p.add_argument("--profile", choices=sorted(PROFILES), help="architecture profile")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--checkpoint", help="checkpoint path")
-        p.add_argument("--data", help="dataset directory (WAVs + manifest.txt)")
+        for option in names.split():
+            p.add_argument(option, **options[option])
         p.set_defaults(func=func)
-        return p
-
-    add("synth", cmd_synth, "write a synthetic ship-noise dataset")
-    add("train", cmd_train, "train a model and write checkpoint + epoch stats")
-    p_eval = add("eval", cmd_eval, "evaluate a checkpoint on the held-out split")
-    p_eval.add_argument("--histograms", action="store_true",
-                        help="also export per-feature class histograms")
-    add("resources", cmd_resources, "print per-layer mult-adds and parameter counts")
-    add("gradcheck", cmd_gradcheck, "finite-difference check of all gradients")
-    add("trace", cmd_trace, "print the layer-by-layer shape trace")
     return parser
 
 

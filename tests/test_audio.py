@@ -242,6 +242,16 @@ class TestDatasetFiles:
         with pytest.raises(FormatError):
             load_dataset(tmp_path, desk_profile())
 
+    def test_non_integer_class_index_names_line(self, tmp_path):
+        spec = default_synth_spec(sample_rate=4800, counts=(2, 2, 2), seed=3)
+        manifest = write_synth_dataset(spec, tmp_path)
+        lines = manifest.read_text().splitlines()
+        rel, _, name = lines[1].split(",")
+        lines[1] = f"{rel},x,{name}"
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=r"manifest\.txt:2: class index 'x'"):
+            load_dataset(tmp_path, desk_profile())
+
     def test_rate_mismatch_rejected(self, tmp_path):
         spec = default_synth_spec(sample_rate=4800, counts=(2, 2, 2), seed=3)
         write_synth_dataset(spec, tmp_path)

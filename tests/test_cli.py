@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from atcnn import audio
 from atcnn.audio import default_synth_spec, write_synth_dataset
 from atcnn.checkpoint import load_checkpoint, save_checkpoint
 from atcnn.cli import main, parse_config
@@ -24,6 +25,15 @@ REPORT_SHA256 = {
     ("trace", "paper"): "de067fb21a36c055fa1e68af724019b1006ac9959cc0449e6662c69f45340830",
     ("resources", "paper"): "1e615590dbf63862c14e1c5a1956c7388e9f820c66fac8fa5f8ea35dda9eecee",
 }
+
+# (subcommand, option) pairs that the subcommand does not read
+REMOVED_OPTIONS = [
+    ("synth", "--checkpoint"), ("synth", "--data"),
+    ("eval", "--profile"), ("eval", "--seed"),
+    *((command, option) for command in ("resources", "trace")
+      for option in ("--seed", "--out", "--checkpoint", "--data")),
+    ("gradcheck", "--out"), ("gradcheck", "--checkpoint"), ("gradcheck", "--data"),
+]
 
 
 def _write_config(tmp_path, text):
@@ -98,10 +108,11 @@ class TestCheckpoint:
 
     def test_profile_mismatch_names_tensor(self, tmp_path):
         model = build_model(desk_profile(), seed=0)
+        model.config = paper_profile()  # embedded config no longer fits the tensors
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         with pytest.raises(CheckpointError, match="tensor"):
-            load_checkpoint(path, config=paper_profile())
+            load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
@@ -170,8 +181,9 @@ class TestCommands:
         assert len(stat_lines) == 3  # header + 2 epochs
         final_test_acc = stat_lines[-1].split("\t")[3]
 
+        # eval re-derives the training split from the checkpoint's seed
         rc = main(["eval", "--checkpoint", str(ckpt), "--data", str(small_dataset),
-                   "--out", str(out_dir), "--seed", "1", "--histograms"])
+                   "--out", str(out_dir), "--histograms"])
         eval_out = capsys.readouterr().out
         assert rc == 0
         assert f"test_accuracy={final_test_acc}" in eval_out
@@ -195,6 +207,36 @@ class TestCommands:
 
         assert strip_seconds(stats) == strip_seconds(out_dir2 / "stats.tsv")
         assert ckpt.read_bytes() == (out_dir2 / "atcnn.ckpt").read_bytes()
+
+    def test_eval_splits_with_the_checkpoint_seed(self, small_dataset, tmp_path,
+                                                  monkeypatch, capsys):
+        cfg_path = _write_config(tmp_path, "epochs = 1\nbatch_size = 4\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--data", str(small_dataset), "--out", str(out_dir),
+                     "--config", str(cfg_path), "--seed", "7"]) == 0
+        seeds = []
+        split = audio.split_dataset
+
+        def spy(dataset, fraction, seed):
+            seeds.append(seed)
+            return split(dataset, fraction=fraction, seed=seed)
+
+        monkeypatch.setattr(audio, "split_dataset", spy)
+        assert main(["eval", "--checkpoint", str(out_dir / "atcnn.ckpt"),
+                     "--data", str(small_dataset), "--out", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert seeds == [7]
+
+    @pytest.mark.parametrize("command, option", REMOVED_OPTIONS)
+    def test_options_a_subcommand_does_not_read_are_rejected(self, command, option):
+        value = "desk" if option == "--profile" else "1"  # a value the option would accept
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, value])
+        assert exc.value.code == 2
+
+    def test_command_line_values_are_validated(self, capsys):
+        assert main(["gradcheck", "--seed", "-1"]) == 1
+        assert "seed" in capsys.readouterr().err
 
     def test_eval_without_checkpoint_fails(self, small_dataset, capsys):
         assert main(["eval", "--data", str(small_dataset)]) == 1
