@@ -55,8 +55,12 @@ class RunConfig:
 _KEY_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
-def parse_config(path) -> RunConfig:
-    """Line-oriented `key = value` run configuration; unknown keys are rejected."""
+def parse_config(path, command: str = "train", reads=tuple(_KEY_TYPES)) -> RunConfig:
+    """Line-oriented `key = value` run configuration for the subcommand `command`.
+
+    Unknown keys, and keys that `command` does not read (not in `reads`), are
+    rejected with their line.
+    """
     values: dict = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.strip()
@@ -68,6 +72,8 @@ def parse_config(path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in _KEY_TYPES:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in reads:
+            raise ConfigurationError(f"{path}:{lineno}: atcnn {command} does not read {key!r}")
         try:
             values[key] = _KEY_TYPES[key](value)
         except ValueError as exc:
@@ -79,8 +85,15 @@ def parse_config(path) -> RunConfig:
 
 
 def _run_config(args) -> RunConfig:
-    """The --config file (or the defaults) with the subcommand's own options on top."""
-    cfg = parse_config(args.config) if args.config else RunConfig()
+    """The --config file (or the defaults) with the subcommand's own options on top.
+
+    `train` reads every key; any other subcommand reads only the keys of its
+    own options, and a file key it would ignore is an error.
+    """
+    cfg = RunConfig()
+    if args.config:
+        reads = [k for k in _KEY_TYPES if args.command == "train" or hasattr(args, k)]
+        cfg = parse_config(args.config, args.command, reads)
     overrides = {key: getattr(args, key) for key in _KEY_TYPES
                  if getattr(args, key, None) is not None}
     return replace(cfg, **overrides)

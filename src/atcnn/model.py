@@ -4,7 +4,9 @@ A model maps one 10 s segment, framed as X [T x N], to a class-probability
 vector. The per-frame extractor (standard conv + two depthwise/pointwise
 pairs) produces a feature vector per frame; the T feature vectors are
 stacked into a T x F matrix that feeds the time-dilated 2-d stack and the
-softmax classifier.
+softmax classifier. Segments meet only in the classifier's batch and, in
+train mode, in BatchNorm's batch statistics, so eval runs the extractor and
+the dilated stack one segment at a time and the classifier on the batch.
 
 `shape_trace` is the layer plan and the one place that does shape and cost
 arithmetic: one walk over the config gives every stage's shapes,
@@ -391,16 +393,30 @@ class Model:
         if xs.ndim != 3 or xs.shape[1:] != (t, n):
             raise ShapeError(f"expected segments shaped [B, {t}, {n}], got {xs.shape}")
 
+    def _trunk(self, xs: np.ndarray, train: bool) -> np.ndarray:
+        """Segments [B, T, N] -> extractor, integration, dilated stack -> [B, flat]."""
+        b, t, n = xs.shape
+        feats = self.extractor.forward(xs.reshape(b * t, 1, n), train=train)
+        if train:
+            self._feat_shape = feats.shape
+        integ = feats.reshape(b, 1, t, self.config.feature_length)
+        return self.dilated.forward(integ, train=train)
+
     def forward_batch(self, xs: np.ndarray, train: bool = False) -> np.ndarray:
-        """Segments [B, T, N] -> class probabilities [B, C]."""
+        """Segments [B, T, N] -> class probabilities [B, C].
+
+        Train mode runs the whole batch through every layer, since BatchNorm
+        normalizes with the batch's statistics. Eval mode runs the trunk one
+        segment at a time, which bounds its temporaries at one segment's size
+        and gives the same bits (every eval trunk layer works on each sample
+        on its own); the classifier still sees the whole batch.
+        """
         xs = np.asarray(xs, dtype=FLOAT)
         self._check_segment_shape(xs)
-        b, t, n = xs.shape
-        frames = xs.reshape(b * t, 1, n)
-        feats = self.extractor.forward(frames, train=train)
-        self._feat_shape = feats.shape
-        integ = feats.reshape(b, 1, t, self.config.feature_length)
-        flat = self.dilated.forward(integ, train=train)
+        if train:
+            flat = self._trunk(xs, train=True)
+        else:
+            flat = np.concatenate([self._trunk(x[np.newaxis], train=False) for x in xs])
         logits = self.classifier.forward(flat, train=train)
         return self.head.forward(logits, train=train)
 

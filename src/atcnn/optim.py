@@ -170,7 +170,7 @@ def stack_dataset(frame_seqs) -> tuple[np.ndarray, np.ndarray]:
     """List of labeled FrameSequences -> (segments [n, T, N], labels [n])."""
     if not frame_seqs:
         raise ValueError("dataset is empty")
-    xs = np.stack([fs.frames for fs in frame_seqs]).astype(FLOAT)
+    xs = np.stack([fs.frames for fs in frame_seqs], dtype=FLOAT)
     labels = np.array([fs.label for fs in frame_seqs], dtype=np.int64)
     if np.any(labels < 0):
         raise InvalidLabelError("every training segment needs a label")

@@ -234,6 +234,18 @@ class TestCommands:
             main([command, option, value])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, line", [
+        ("eval", "seed = 3"), ("eval", "profile = paper"), ("eval", "epochs = 5"),
+        ("synth", "batch_size = 4"), ("resources", "seed = 3"), ("gradcheck", "out = run"),
+    ])
+    def test_config_keys_a_subcommand_does_not_read_are_rejected(self, tmp_path, capsys,
+                                                                 command, line):
+        cfg_path = _write_config(tmp_path, f"# {command}\n{line}\n")
+        assert main([command, "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        key = line.split()[0]
+        assert f"run.cfg:2: atcnn {command} does not read '{key}'" in err
+
     def test_command_line_values_are_validated(self, capsys):
         assert main(["gradcheck", "--seed", "-1"]) == 1
         assert "seed" in capsys.readouterr().err

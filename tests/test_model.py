@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from atcnn.model import (
     paper_profile,
     shape_trace,
 )
+from atcnn.optim import RmsProp
 
 PAPER_DILATED_STAGES = [
     (1, 800, 100),
@@ -195,6 +197,54 @@ class TestModelForward:
         model = build_model(desk_profile(), seed=0)
         with pytest.raises(ShapeError):
             model.forward_segment(np.zeros((100, 271)))
+
+
+def _whole_batch_eval(model, xs):
+    """The eval forward with every layer on the whole batch: B*T frames, then B segments."""
+    b, t, n = xs.shape
+    feats = model.extractor.forward(xs.reshape(b * t, 1, n), train=False)
+    flat = model.dilated.forward(feats.reshape(b, 1, t, model.config.feature_length),
+                                 train=False)
+    return model.head.forward(model.classifier.forward(flat, train=False), train=False)
+
+
+def _eval_alloc_peak(model, xs) -> int:
+    """Peak bytes that tracemalloc sees allocated during one eval `forward_batch`."""
+    model.forward_batch(xs)  # warm-up, outside the trace
+    tracemalloc.start()
+    try:
+        model.forward_batch(xs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestEvalOneSegmentAtATime:
+    def _trained_desk_model(self):
+        cfg = desk_profile()
+        model = build_model(cfg, seed=6)
+        rng = np.random.default_rng(4)
+        xs = rng.standard_normal((4, cfg.frames_per_segment, cfg.frame_length))
+        # one train step, so that weights and running statistics are not their initial values
+        _, _, grads = model.loss_and_grads(xs, np.array([0, 1, 2, 0]))
+        RmsProp(model.named_params()).step(grads)
+        return model, rng
+
+    def test_matches_the_whole_batch_forward_bitwise(self):
+        model, rng = self._trained_desk_model()
+        cfg = model.config
+        xs = rng.standard_normal((5, cfg.frames_per_segment, cfg.frame_length))
+        expected = _whole_batch_eval(model, xs)
+        got = model.forward_batch(xs)
+        assert got.shape == (5, cfg.class_count)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_peak_allocation_does_not_grow_with_the_batch(self):
+        model, rng = self._trained_desk_model()
+        cfg = model.config
+        xs = rng.standard_normal((8, cfg.frames_per_segment, cfg.frame_length))
+        one, eight = _eval_alloc_peak(model, xs[:1]), _eval_alloc_peak(model, xs)
+        assert eight < 1.5 * one, (one, eight)
 
 
 class TestResources:
