@@ -22,9 +22,14 @@ Backward returns the input gradient as a C-contiguous array (the next
 layer's reductions sum in memory order) and stores parameter gradients on
 the layer (`grad_*` attributes, exposed via `named_grads`). Convolution
 weight gradients are summed over the batch as 2-D BLAS GEMMs
-(`_weight_grad`). Only the `Im2colConv` layers take `input_grad=False`
-on backward, which skips the input gradient; `Model.backward` uses it on
-the first extractor layer, a `Conv1d` whose input is the waveform.
+(`_weight_grad`). `Im2colConv` and `Sequential` backward take
+`input_grad=False`, which skips the input gradient; `Model.backward` uses
+it on the first extractor layer, a `Conv1d` whose input is the waveform.
+
+`Network` is a `Sequential` stack that ends in [B, C] logits, plus the
+softmax-cross-entropy head; `Model` (named parts) and `optim.StackFragment`
+(a plain layer list) are both one. `Integration` is the reshape between
+`Model`'s extractor and dilated stack.
 
 BatchNorm, Pool2d and the depthwise backward evaluate every reduction and
 elementwise expression of the plain formulas in the same order; only memory
@@ -61,12 +66,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def prefixed(parts, method: str) -> dict[str, np.ndarray]:
-    """Merge ``part.<method>()`` over (prefix, part) pairs, keys as '<prefix>.<key>'."""
-    return {f"{prefix}.{k}": v for prefix, part in parts
-            for k, v in getattr(part, method)().items()}
 
 
 def _weight_grad(grad: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -427,6 +426,18 @@ class Flatten(Layer):
         return grad.reshape(self._take_cache())
 
 
+class Integration(Flatten):
+    """Stack each segment's T frame features into one map: [B*T, C, L] -> [B, 1, T, C*L]."""
+
+    def __init__(self, frames: int):
+        super().__init__()
+        self.frames = frames
+
+    def forward(self, x, train=False):
+        self._cache = x.shape if train else None
+        return x.reshape(-1, 1, self.frames, x.shape[1] * x.shape[2])
+
+
 class Linear(Layer):
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None):
@@ -486,19 +497,24 @@ class SoftmaxCrossEntropy:
 
 
 class Sequential(Layer):
-    """Ordered layer stack; parameter names are '<index>.<param>'."""
+    """Ordered layer stack; parameter names are '<name>.<param>', names defaulting to indices."""
 
-    def __init__(self, layers: list[Layer]):
+    def __init__(self, layers: list[Layer], names=None):
         self.layers = layers
+        self.names = range(len(layers)) if names is None else names
+
+    def _merged(self, method: str) -> dict[str, np.ndarray]:
+        return {f"{name}.{k}": v for name, layer in zip(self.names, self.layers)
+                for k, v in getattr(layer, method)().items()}
 
     def named_params(self):
-        return prefixed(enumerate(self.layers), "named_params")
+        return self._merged("named_params")
 
     def named_grads(self):
-        return prefixed(enumerate(self.layers), "named_grads")
+        return self._merged("named_grads")
 
     def named_buffers(self):
-        return prefixed(enumerate(self.layers), "named_buffers")
+        return self._merged("named_buffers")
 
     def forward(self, x, train=False):
         for layer in self.layers:
@@ -507,10 +523,10 @@ class Sequential(Layer):
 
     def backward(self, grad, input_grad=True):
         """Backpropagate through every layer; ``input_grad=False`` has the first
-        layer skip its input gradient and returns None. Only `Im2colConv`
-        layers (`Conv1d`, `DilatedConv2d`) take ``input_grad``, so with
-        ``input_grad=False`` the first layer must be one, as the `Conv1d` that
-        starts both built-in profiles' extractors is."""
+        layer skip its input gradient and returns None. Only `Im2colConv` and
+        `Sequential` take ``input_grad``, so with ``input_grad=False`` the
+        first layer must be one, as `Model`'s extractor, which starts with a
+        `Conv1d`, is."""
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
         first = self.layers[0]
@@ -529,3 +545,48 @@ class Sequential(Layer):
             if hasattr(layer, "activation_signature")
         )
         return hash(sigs)
+
+
+class Network:
+    """A layer stack that maps its input to [B, C] logits, plus the softmax head.
+
+    Methods are looked up when called, so an instance's may be replaced (the
+    benchmark's tracer wraps them).
+    """
+
+    def __init__(self, layers: list[Layer], names=None):
+        self.stack = Sequential(layers, names)
+        self.head = SoftmaxCrossEntropy()
+
+    def named_params(self) -> dict[str, np.ndarray]:
+        return self.stack.named_params()
+
+    def named_grads(self) -> dict[str, np.ndarray]:
+        return self.stack.named_grads()
+
+    def named_buffers(self) -> dict[str, np.ndarray]:
+        return self.stack.named_buffers()
+
+    def forward_batch(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+        """Input batch -> class probabilities [B, C]."""
+        return self.head.forward(self.stack.forward(x, train=train), train=train)
+
+    def backward(self, labels: np.ndarray, input_grad: bool = True) -> None:
+        """Backpropagate the loss of the last train-mode forward against `labels`;
+        ``input_grad=False`` skips the gradient with respect to the input."""
+        self.stack.backward(self.head.backward(labels), input_grad=input_grad)
+
+    def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
+        """Train-mode loss; like every train-mode forward, it moves the running statistics."""
+        return self.head.loss(self.forward_batch(x, train=True), labels)
+
+    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
+        """One train-mode pass; returns (mean loss, probs [B, C], grads dict)."""
+        probs = self.forward_batch(x, train=True)
+        value = self.head.loss(probs, labels)
+        self.backward(labels)
+        return value, probs, self.named_grads()
+
+    def activation_signature(self):
+        """Linear-region fingerprint of the last train-mode forward."""
+        return self.stack.activation_signature()

@@ -1,12 +1,18 @@
 """Network assembly: configuration, layer plan, resource counting, forward.
 
 A model maps one 10 s segment, framed as X [T x N], to a class-probability
-vector. The per-frame extractor (standard conv + two depthwise/pointwise
-pairs) produces a feature vector per frame; the T feature vectors are
-stacked into a T x F matrix that feeds the time-dilated 2-d stack and the
-softmax classifier. Segments meet only in the classifier's batch and, in
-train mode, in BatchNorm's batch statistics, so eval runs the extractor and
-the dilated stack one segment at a time and the classifier on the batch.
+vector. `Model` is a `layers.Network` over four named parts, each also an
+attribute: `extractor` (per-frame standard conv + two depthwise/pointwise
+pairs), `integration` (a segment's T feature vectors stacked into a T x F
+matrix), `dilated` (the time-dilated 2-d stack) and `classifier` (linear,
+then the softmax head). `forward_batch` reshapes segments to frames
+[B*T, 1, N] before the walk; no gradient flows back through that reshape,
+so it is forward-only and not a part. Segments meet only in the
+classifier's batch and, in train mode, in BatchNorm's batch statistics, so
+eval runs every part but the classifier one segment at a time and the
+classifier on the batch. The benchmark reads `extractor.layers`,
+`dilated.layers`, `classifier` and `head`, and wraps methods on the
+instance, so the walk looks them up at call time.
 
 `shape_trace` is the layer plan and the one place that does shape and cost
 arithmetic: one walk over the config gives every stage's shapes,
@@ -29,13 +35,13 @@ from .layers import (
     DepthwiseConv1d,
     DilatedConv2d,
     Flatten,
+    Integration,
     Linear,
+    Network,
     Pool2d,
     PointwiseConv,
     ReLU,
     Sequential,
-    SoftmaxCrossEntropy,
-    prefixed,
 )
 from .tensor_ops import FLOAT, conv_output_length
 
@@ -356,111 +362,67 @@ def complexity_decline_ratio(out_channels: int, kernel_h: int, kernel_w: int) ->
 # Model
 
 
-class Model:
-    """Instantiated network: extractor, dilated stack, linear-softmax classifier."""
+class Model(Network):
+    """Instantiated network: extractor, integration, dilated stack, linear-softmax classifier."""
 
     def __init__(self, config: ModelConfig, extractor: Sequential, dilated: Sequential,
                  classifier: Linear):
+        super().__init__([extractor, Integration(config.frames_per_segment), dilated, classifier],
+                         names=("extractor", "integration", "dilated", "classifier"))
         self.config = config
-        self.extractor = extractor
-        self.dilated = dilated  # ends with Flatten
-        self.classifier = classifier
-        self.head = SoftmaxCrossEntropy()
-        self._feat_shape = None
-
-    # -- parameter plumbing
-
-    def _modules(self):
-        return (("extractor", self.extractor), ("dilated", self.dilated),
-                ("classifier", self.classifier))
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        return prefixed(self._modules(), "named_params")
-
-    def named_grads(self) -> dict[str, np.ndarray]:
-        return prefixed(self._modules(), "named_grads")
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        return prefixed(self._modules(), "named_buffers")
+        self.extractor, self.integration, self.dilated, self.classifier = self.stack.layers
 
     def param_count(self) -> int:
         return sum(v.size for v in self.named_params().values())
 
-    # -- forward / backward
-
-    def _check_segment_shape(self, xs: np.ndarray):
+    def _segments(self, xs) -> np.ndarray:
+        """`xs` as float segments [B, T, N] with B >= 1; else ShapeError."""
+        xs = np.asarray(xs, dtype=FLOAT)
         t, n = self.config.frames_per_segment, self.config.frame_length
-        if xs.ndim != 3 or xs.shape[1:] != (t, n):
-            raise ShapeError(f"expected segments shaped [B, {t}, {n}], got {xs.shape}")
-
-    def _trunk(self, xs: np.ndarray, train: bool) -> np.ndarray:
-        """Segments [B, T, N] -> extractor, integration, dilated stack -> [B, flat]."""
-        b, t, n = xs.shape
-        feats = self.extractor.forward(xs.reshape(b * t, 1, n), train=train)
-        if train:
-            self._feat_shape = feats.shape
-        integ = feats.reshape(b, 1, t, self.config.feature_length)
-        return self.dilated.forward(integ, train=train)
+        if xs.ndim != 3 or xs.shape[1:] != (t, n) or xs.shape[0] < 1:
+            raise ShapeError(f"expected segments shaped [B >= 1, {t}, {n}], got {xs.shape}")
+        return xs
 
     def forward_batch(self, xs: np.ndarray, train: bool = False) -> np.ndarray:
         """Segments [B, T, N] -> class probabilities [B, C].
 
-        Train mode runs the whole batch through every layer, since BatchNorm
-        normalizes with the batch's statistics. Eval mode runs the trunk one
-        segment at a time, which bounds its temporaries at one segment's size
-        and gives the same bits (every eval trunk layer works on each sample
-        on its own); the classifier still sees the whole batch.
+        Train mode runs the whole batch through every part, since BatchNorm
+        normalizes with the batch's statistics. Eval mode runs every part but
+        the classifier one segment at a time, which bounds its temporaries at
+        one segment's size and gives the same bits (every eval trunk layer
+        works on each sample on its own); the classifier sees the whole batch.
         """
-        xs = np.asarray(xs, dtype=FLOAT)
-        self._check_segment_shape(xs)
+        xs = self._segments(xs)
+        b, t, n = xs.shape
         if train:
-            flat = self._trunk(xs, train=True)
-        else:
-            flat = np.concatenate([self._trunk(x[np.newaxis], train=False) for x in xs])
-        logits = self.classifier.forward(flat, train=train)
-        return self.head.forward(logits, train=train)
+            return super().forward_batch(xs.reshape(b * t, 1, n), train=True)
+        *trunk, classifier = self.stack.layers
+        rows = []
+        for segment in xs:
+            x = segment.reshape(t, 1, n)
+            for part in trunk:
+                x = part.forward(x)
+            rows.append(x)
+        return self.head.forward(classifier.forward(np.concatenate(rows)))
 
     def backward(self, labels: np.ndarray) -> None:
-        """Backpropagate the loss against `labels` through every layer."""
-        dlogits = self.head.backward(labels)
-        dflat = self.classifier.backward(dlogits)
-        dinteg = self.dilated.backward(dflat)
-        dfeats = dinteg.reshape(self._feat_shape)
-        self.extractor.backward(dfeats, input_grad=False)  # the waveform gradient is unused
-
-    def loss(self, xs: np.ndarray, labels: np.ndarray) -> float:
-        """Train-mode loss; like every train-mode forward, it moves the running statistics."""
-        return self.head.loss(self.forward_batch(xs, train=True), labels)
-
-    def activation_signature(self):
-        """Linear-region fingerprint of the last train-mode forward."""
-        return hash((self.extractor.activation_signature(),
-                     self.dilated.activation_signature()))
-
-    def loss_and_grads(self, xs: np.ndarray, labels: np.ndarray):
-        """One train-mode pass; returns (mean loss, probs [B, C], grads dict)."""
-        probs = self.forward_batch(xs, train=True)
-        value = self.head.loss(probs, labels)
-        self.backward(labels)
-        return value, probs, self.named_grads()
+        """Backpropagate through every part, skipping the unused waveform gradient."""
+        super().backward(labels, input_grad=False)
 
     def forward_segment(self, x: np.ndarray) -> np.ndarray:
         """One segment [T, N] -> eval-mode probability vector [C]."""
-        x = np.asarray(x, dtype=FLOAT)
-        return self.forward_batch(x[np.newaxis])[0]
+        return self.forward_batch(np.asarray(x)[np.newaxis])[0]
 
     def extract_features(self, x: np.ndarray) -> np.ndarray:
         """One segment [T, N] -> per-frame feature matrix [T, F] (eval mode)."""
-        x = np.asarray(x, dtype=FLOAT)
-        t, n = self.config.frames_per_segment, self.config.frame_length
-        if x.shape != (t, n):
-            raise ShapeError(f"expected segment shaped [{t}, {n}], got {x.shape}")
-        feats = self.extractor.forward(x.reshape(t, 1, n), train=False)
+        xs = self._segments(np.asarray(x)[np.newaxis])
+        t, n = xs.shape[1:]
+        feats = self.extractor.forward(xs.reshape(t, 1, n))
         return feats.reshape(t, self.config.feature_length)
 
     def predict_batch(self, xs: np.ndarray, chunk: int = 16) -> np.ndarray:
         """Eval-mode argmax labels for segments [B, T, N]."""
-        xs = np.asarray(xs, dtype=FLOAT)
+        xs = self._segments(xs)
         preds = []
         for i in range(0, xs.shape[0], chunk):
             probs = self.forward_batch(xs[i : i + chunk], train=False)

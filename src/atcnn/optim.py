@@ -1,4 +1,8 @@
-"""Cross-entropy objective, RMSProp updates, gradient verification, training loop."""
+"""Cross-entropy objective, RMSProp updates, gradient verification, training loop.
+
+`gradient_check` takes any `layers.Network`: a `Model`, or a one-layer
+`StackFragment`. `train` takes every hyperparameter from `model.config`.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidLabelError, ShapeError
-from .layers import PROB_CLAMP, Sequential, SoftmaxCrossEntropy
+from .layers import PROB_CLAMP, Network
 from .tensor_ops import FLOAT
 
 
@@ -54,38 +58,7 @@ class RmsProp:
             p -= self.learning_rate * g / (np.sqrt(s) + self.epsilon)
 
 
-class StackFragment:
-    """A layer stack plus softmax-cross-entropy head, checkable end to end.
-
-    The stack must map its input to [B, C] logits. It offers the methods of
-    `Model` that `gradient_check` calls, so one layer can be checked alone.
-    """
-
-    def __init__(self, layers: list):
-        self.stack = Sequential(layers)
-        self.head = SoftmaxCrossEntropy()
-
-    def named_params(self):
-        return self.stack.named_params()
-
-    def named_buffers(self):
-        return self.stack.named_buffers()
-
-    def _probs(self, x: np.ndarray) -> np.ndarray:
-        return self.head.forward(self.stack.forward(x, train=True), train=True)
-
-    def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
-        return self.head.loss(self._probs(x), labels)
-
-    def loss_and_grads(self, x: np.ndarray, labels: np.ndarray):
-        """One train-mode pass; returns (mean loss, probs [B, C], grads dict)."""
-        probs = self._probs(x)
-        value = self.head.loss(probs, labels)
-        self.stack.backward(self.head.backward(labels))
-        return value, probs, self.stack.named_grads()
-
-    def activation_signature(self):
-        return self.stack.activation_signature()
+StackFragment = Network  # a plain layer list plus the head, to check one layer alone
 
 
 def gradient_check(fragment, x: np.ndarray, labels: np.ndarray, step: float = 1e-5,
@@ -209,21 +182,16 @@ def train_epoch(model, optimizer: RmsProp, xs: np.ndarray, labels: np.ndarray,
 
 
 def train(model, train_xs: np.ndarray, train_labels: np.ndarray,
-          test_xs: np.ndarray, test_labels: np.ndarray, *,
-          epochs: Optional[int] = None, batch_size: Optional[int] = None,
-          learning_rate: Optional[float] = None, seed: int = 0,
+          test_xs: np.ndarray, test_labels: np.ndarray, *, seed: int = 0,
           log: Optional[Callable[[TrainStats], None]] = None) -> list[TrainStats]:
-    """Full training run; hyperparameters default to the model config."""
+    """Full training run with the model config's epochs, batch size and RMSProp settings."""
     cfg = model.config
-    epochs = cfg.epochs if epochs is None else epochs
-    batch_size = cfg.batch_size if batch_size is None else batch_size
-    lr = cfg.learning_rate if learning_rate is None else learning_rate
-    optimizer = RmsProp(model.named_params(), learning_rate=lr,
+    optimizer = RmsProp(model.named_params(), learning_rate=cfg.learning_rate,
                         rho=cfg.rho, epsilon=cfg.rms_epsilon)
     history = []
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         stats = train_epoch(model, optimizer, train_xs, train_labels,
-                            test_xs, test_labels, epoch, batch_size, seed)
+                            test_xs, test_labels, epoch, cfg.batch_size, seed)
         history.append(stats)
         if log is not None:
             log(stats)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -207,6 +208,7 @@ def test_criterion_7_metrics():
 
 
 _THREAD_PROBE = """
+import dataclasses
 import os
 import numpy as np
 from atcnn.audio import default_synth_spec, frame_segment, split_dataset, synth_dataset
@@ -219,8 +221,8 @@ frames = [frame_segment(s.samples, cfg, label=s.label) for s in synth_dataset(sp
 tr, te = split_dataset(frames, fraction=0.8, seed=7)
 xs, ys = optim.stack_dataset(tr)
 txs, tys = optim.stack_dataset(te)
-model = build_model(cfg, seed=7)
-stats = optim.train(model, xs, ys, txs, tys, epochs=2, batch_size=4, seed=7)
+model = build_model(dataclasses.replace(cfg, epochs=2, batch_size=4), seed=7)
+stats = optim.train(model, xs, ys, txs, tys, seed=7)
 print([ (s.loss, s.train_accuracy, s.eval_accuracy) for s in stats ])
 print(sorted((k, float(v.sum())) for k, v in model.named_params().items())[:5])
 """
@@ -236,14 +238,14 @@ def test_criterion_8_learning_end_to_end():
     xs, ys = optim.stack_dataset(train_fs)
     txs, tys = optim.stack_dataset(test_fs)
 
-    model = build_model(cfg, seed=7)
-    history = optim.train(model, xs, ys, txs, tys, epochs=30, batch_size=8, seed=7)
+    model = build_model(dataclasses.replace(cfg, epochs=30, batch_size=8), seed=7)
+    history = optim.train(model, xs, ys, txs, tys, seed=7)
     acc_ok = history[-1].eval_accuracy >= 0.90
     loss_ok = history[-1].loss < history[0].loss
 
     # determinism across reruns: a fresh 3-epoch run reproduces the prefix
-    model2 = build_model(cfg, seed=7)
-    prefix = optim.train(model2, xs, ys, txs, tys, epochs=3, batch_size=8, seed=7)
+    model2 = build_model(dataclasses.replace(cfg, epochs=3, batch_size=8), seed=7)
+    prefix = optim.train(model2, xs, ys, txs, tys, seed=7)
     replay_ok = all(
         (a.loss, a.train_accuracy, a.eval_accuracy)
         == (b.loss, b.train_accuracy, b.eval_accuracy)

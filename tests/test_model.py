@@ -198,6 +198,14 @@ class TestModelForward:
         with pytest.raises(ShapeError):
             model.forward_segment(np.zeros((100, 271)))
 
+    def test_zero_segments_rejected(self):
+        model = build_model(desk_profile(), seed=0)
+        empty = np.zeros((0, 100, 272))
+        with pytest.raises(ShapeError):
+            model.forward_batch(empty)
+        with pytest.raises(ShapeError):
+            model.predict_batch(empty)
+
 
 def _whole_batch_eval(model, xs):
     """The eval forward with every layer on the whole batch: B*T frames, then B segments."""
@@ -206,6 +214,45 @@ def _whole_batch_eval(model, xs):
     flat = model.dilated.forward(feats.reshape(b, 1, t, model.config.feature_length),
                                  train=False)
     return model.head.forward(model.classifier.forward(flat, train=False), train=False)
+
+
+def _hand_glued_train_pass(model, xs, labels):
+    """The train pass with the reshapes between parts written out: B*T frames through the
+    extractor, [B, 1, T, F] through the dilated stack, then classifier and head; backward
+    reshapes to the saved feature shape and skips the waveform gradient."""
+    b, t, n = xs.shape
+    feats = model.extractor.forward(xs.reshape(b * t, 1, n), train=True)
+    flat = model.dilated.forward(feats.reshape(b, 1, t, model.config.feature_length),
+                                 train=True)
+    probs = model.head.forward(model.classifier.forward(flat, train=True), train=True)
+    value = model.head.loss(probs, labels)
+    dflat = model.classifier.backward(model.head.backward(labels))
+    dfeats = model.dilated.backward(dflat).reshape(feats.shape)
+    model.extractor.backward(dfeats, input_grad=False)
+    return value, probs, model.named_grads()
+
+
+class TestTrainPassAgainstHandGluedParts:
+    def test_loss_and_grads_bitwise(self):
+        cfg = desk_profile()
+        rng = np.random.default_rng(8)
+        xs = rng.standard_normal((3, cfg.frames_per_segment, cfg.frame_length))
+        labels = np.array([2, 0, 1])
+        walked, glued = build_model(cfg, seed=5), build_model(cfg, seed=5)
+        value, probs, grads = walked.loss_and_grads(xs, labels)
+        ref_value, ref_probs, ref_grads = _hand_glued_train_pass(glued, xs, labels)
+
+        def bits(a):
+            return np.asarray(a, dtype=np.float64).view(np.uint64)
+
+        assert np.array_equal(bits(value), bits(ref_value))
+        assert np.array_equal(bits(probs), bits(ref_probs))
+        assert list(grads) == list(ref_grads)
+        for name in grads:
+            assert np.array_equal(bits(grads[name]), bits(ref_grads[name])), name
+        ref_buffers = glued.named_buffers()
+        for name, buf in walked.named_buffers().items():
+            assert np.array_equal(bits(buf), bits(ref_buffers[name])), name
 
 
 def _eval_alloc_peak(model, xs) -> int:

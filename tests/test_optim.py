@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -155,26 +157,26 @@ def _tiny_desk_dataset(counts=(4, 4, 4), seed=7):
 class TestTraining:
     def test_zero_learning_rate_freezes_parameters(self):
         cfg, (xs, ys), (txs, tys) = _tiny_desk_dataset(counts=(2, 2, 2))
-        model = build_model(cfg, seed=1)
+        model = build_model(
+            dataclasses.replace(cfg, epochs=1, batch_size=4, learning_rate=0.0), seed=1)
         before = {k: v.copy() for k, v in model.named_params().items()}
-        stats = train(model, xs, ys, txs, tys, epochs=1, batch_size=4,
-                      learning_rate=0.0, seed=1)
+        stats = train(model, xs, ys, txs, tys, seed=1)
         for k, v in model.named_params().items():
             assert np.array_equal(before[k], v), k
         assert stats[0].loss >= 0.0
 
     def test_loss_decreases_on_separable_data(self):
         cfg, (xs, ys), (txs, tys) = _tiny_desk_dataset()
-        model = build_model(cfg, seed=7)
-        stats = train(model, xs, ys, txs, tys, epochs=5, batch_size=4, seed=7)
+        model = build_model(dataclasses.replace(cfg, epochs=5, batch_size=4), seed=7)
+        stats = train(model, xs, ys, txs, tys, seed=7)
         assert stats[4].loss < stats[0].loss
 
     def test_deterministic_replay(self):
         cfg, (xs, ys), (txs, tys) = _tiny_desk_dataset(counts=(2, 2, 2))
         runs = []
         for _ in range(2):
-            model = build_model(cfg, seed=3)
-            stats = train(model, xs, ys, txs, tys, epochs=2, batch_size=4, seed=3)
+            model = build_model(dataclasses.replace(cfg, epochs=2, batch_size=4), seed=3)
+            stats = train(model, xs, ys, txs, tys, seed=3)
             runs.append([(s.loss, s.train_accuracy, s.eval_accuracy) for s in stats])
         assert runs[0] == runs[1]
 
