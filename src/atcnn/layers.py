@@ -1,17 +1,22 @@
 """Forward and backward passes for every layer the network uses.
 
 All layers take batched channel-first input: [B, C, L] for the 1-d
-extractor layers, [B, C, H, W] for the 2-d stack. A layer run in train
-mode keeps a cache for its backward pass; eval-mode forwards are pure and
-cache nothing. Backward consumes the cache, so a second backward without a
-new train-mode forward raises `StateError`. What train mode caches:
+extractor layers, [B, C, H, W] for the 2-d stack. `Layer` states the
+contract once: parameters and buffers are the attributes named, in
+checkpoint order, by the class tuples `param_names` and `buffer_names`;
+weights come from one initialiser, `Layer._init_weight`; a train-mode
+forward leaves one cache that backward takes with `_take_cache`, so a
+second backward without a new train-mode forward raises `StateError`, in
+the softmax head (which caches its probabilities) as in every layer.
+Eval-mode forwards are pure and cache nothing. What train mode caches:
 - `Conv1d`, `DilatedConv2d`: the input `x`, not the patch matrix, which is
   up to kernel-size times larger; backward lowers `x` again with
   `im2col_batch`.
 - `BatchNorm`: the centred input `xm` and the per-channel statistics, not
   `xhat`, which backward rebuilds as `xm * inv`.
-- `Pool2d`: the input shape, plus a uint8 winner index per output for max.
-  Pooling works on strided views of the four corners of each 2x2 block.
+- `Pool2d`: the input shape and a uint8 winner index per output (None for
+  avg). Pooling works on strided views of the four corners of each 2x2
+  block.
 
 `Conv1d` and `DilatedConv2d` are one operation with two geometries: both
 subclass `Im2colConv`, which lowers a valid convolution to one GEMM over
@@ -27,9 +32,9 @@ weight gradients are summed over the batch as 2-D BLAS GEMMs
 it on the first extractor layer, a `Conv1d` whose input is the waveform.
 
 `Network` is a `Sequential` stack that ends in [B, C] logits, plus the
-softmax-cross-entropy head; `Model` (named parts) and `optim.StackFragment`
-(a plain layer list) are both one. `Integration` is the reshape between
-`Model`'s extractor and dilated stack.
+softmax-cross-entropy head; `Model` (named parts) is one, and so is a
+plain layer list such as a one-layer gradient check builds. `Integration`
+is the reshape between `Model`'s extractor and dilated stack.
 
 BatchNorm, Pool2d and the depthwise backward evaluate every reduction and
 elementwise expression of the plain formulas in the same order; only memory
@@ -53,11 +58,6 @@ PROB_CLAMP = 1e-12
 # this many columns: below it, the per-call cost of a small GEMM outweighs
 # copying the folded samples.
 GEMM_MIN_COLUMNS = 512
-
-
-def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(FLOAT)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -89,23 +89,39 @@ def _weight_grad(grad: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base class; stateless layers only override forward/backward."""
+    """Base of every layer and the head; the module docstring states the contract."""
+
+    param_names: tuple[str, ...] = ()
+    buffer_names: tuple[str, ...] = ()
+    _cache = None
 
     def named_params(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.param_names}
 
     def named_grads(self) -> dict[str, np.ndarray]:
         """The gradient of each parameter, stored by backward as `grad_<name>`."""
-        return {name: getattr(self, f"grad_{name}") for name in self.named_params()}
+        return {name: getattr(self, f"grad_{name}") for name in self.param_names}
 
     def named_buffers(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: getattr(self, name) for name in self.buffer_names}
 
     def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def activation_signature(self):
+        """Linear-region fingerprint of the last train-mode forward; None without kinks."""
+        return None
+
+    @staticmethod
+    def _init_weight(rng: np.random.Generator | None, shape, fan_in: int, fan_out: int):
+        """A Glorot-uniform draw from `rng`, or zeros when `rng` is None."""
+        if rng is None:
+            return np.zeros(shape, dtype=FLOAT)
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=shape).astype(FLOAT, copy=False)
 
     def _take_cache(self):
         """Hand the train-mode cache to backward and release it."""
@@ -123,22 +139,18 @@ class Im2colConv(Layer):
     entry per spatial axis. Subclasses only set the geometry.
     """
 
+    param_names = ("weight", "bias")
+
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, ...],
                  strides: tuple[int, ...], dilations: tuple[int, ...],
                  rng: np.random.Generator | None):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self._lowering = (kernel, strides, dilations)
-        self.weight = np.zeros((out_channels, in_channels) + kernel, dtype=FLOAT)
+        taps = math.prod(kernel)
+        self.weight = self._init_weight(rng, (out_channels, in_channels) + kernel,
+                                        in_channels * taps, out_channels * taps)
         self.bias = np.zeros(out_channels, dtype=FLOAT)
-        if rng is not None:
-            taps = math.prod(kernel)
-            self.weight[:] = glorot_uniform(
-                rng, self.weight.shape, in_channels * taps, out_channels * taps)
-        self._cache = None
-
-    def named_params(self):
-        return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x, train=False):
         kernel, strides, dilations = self._lowering
@@ -178,19 +190,15 @@ class Conv1d(Im2colConv):
 class DepthwiseConv1d(Layer):
     """Per-channel 1-d convolution: channel c sees only kernel c."""
 
+    param_names = ("kernels", "bias")
+
     def __init__(self, channels: int, kernel: int, stride: int = 1,
                  rng: np.random.Generator | None = None):
         self.channels = channels
         self.kernel = kernel
         self.stride = stride
-        self.kernels = np.zeros((channels, kernel), dtype=FLOAT)
+        self.kernels = self._init_weight(rng, (channels, kernel), kernel, kernel)
         self.bias = np.zeros(channels, dtype=FLOAT)
-        if rng is not None:
-            self.kernels[:] = glorot_uniform(rng, self.kernels.shape, kernel, kernel)
-        self._cache = None
-
-    def named_params(self):
-        return {"kernels": self.kernels, "bias": self.bias}
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[1] != self.channels:
@@ -222,18 +230,15 @@ class DepthwiseConv1d(Layer):
 class PointwiseConv(Layer):
     """1x1 convolution: per-position linear mix across channels."""
 
+    param_names = ("weights", "bias")
+
     def __init__(self, in_channels: int, out_channels: int,
                  rng: np.random.Generator | None = None):
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.weights = np.zeros((out_channels, in_channels), dtype=FLOAT)
+        self.weights = self._init_weight(rng, (out_channels, in_channels),
+                                         in_channels, out_channels)
         self.bias = np.zeros(out_channels, dtype=FLOAT)
-        if rng is not None:
-            self.weights[:] = glorot_uniform(rng, self.weights.shape, in_channels, out_channels)
-        self._cache = None
-
-    def named_params(self):
-        return {"weights": self.weights, "bias": self.bias}
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
@@ -260,6 +265,9 @@ class BatchNorm(Layer):
     save and restore `named_buffers()`.
     """
 
+    param_names = ("gamma", "beta")
+    buffer_names = ("running_mean", "running_var")
+
     def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.9):
         self.channels = channels
         self.epsilon = epsilon
@@ -268,13 +276,6 @@ class BatchNorm(Layer):
         self.beta = np.zeros(channels, dtype=FLOAT)
         self.running_mean = np.zeros(channels, dtype=FLOAT)
         self.running_var = np.ones(channels, dtype=FLOAT)
-        self._cache = None
-
-    def named_params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
-
-    def named_buffers(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def _bshape(self, ndim):
         return (1, self.channels) + (1,) * (ndim - 2)
@@ -326,9 +327,6 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train=False):
         self._cache = (x > 0) if train else None
         return np.maximum(x, 0.0)
@@ -368,7 +366,6 @@ class Pool2d(Layer):
         if kind not in ("max", "avg"):
             raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
         self.kind = kind
-        self._cache = None
 
     def forward(self, x, train=False):
         if x.ndim != 4:
@@ -377,6 +374,7 @@ class Pool2d(Layer):
         if h < 2 or w < 2:
             raise ShapeError(f"Pool2d needs H >= 2 and W >= 2, got {h}x{w}")
         q = _corners(x, h // 2, w // 2)
+        idx = None  # the winner index; avg pooling has none
         if self.kind == "max":
             y = np.maximum(q[0], q[1])
             np.maximum(y, q[2], out=y)
@@ -386,22 +384,20 @@ class Pool2d(Layer):
                 idx = np.full(y.shape, 3, dtype=np.uint8)
                 for k in (2, 1, 0):
                     np.copyto(idx, k, where=q[k] == y)
-            self._cache = (x.shape, idx) if train else None
         else:
             # the summation order and divisor of a mean over each block's 4 values
             y = ((q[0] + q[1]) + q[2]) + q[3]
             y /= 4
-            self._cache = x.shape if train else None
+        self._cache = (x.shape, idx) if train else None
         return y
 
     def backward(self, grad):
-        cache = self._take_cache()
-        x_shape = cache[0] if self.kind == "max" else cache
+        x_shape, idx = self._take_cache()
         h2, w2 = x_shape[2] // 2, x_shape[3] // 2
         dx = np.zeros(x_shape, dtype=FLOAT)
-        if self.kind == "max":
+        if idx is not None:
             for k, view in enumerate(_corners(dx, h2, w2)):
-                np.copyto(view, grad, where=cache[1] == k)
+                np.copyto(view, grad, where=idx == k)
         else:
             quarter = grad / 4.0
             for view in _corners(dx, h2, w2):
@@ -409,15 +405,11 @@ class Pool2d(Layer):
         return dx
 
     def activation_signature(self):
-        if self.kind != "max" or self._cache is None:
-            return None
-        return hash(self._cache[1].tobytes())
+        idx = None if self._cache is None else self._cache[1]
+        return None if idx is None else hash(idx.tobytes())
 
 
 class Flatten(Layer):
-    def __init__(self):
-        self._cache = None
-
     def forward(self, x, train=False):
         self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
@@ -430,7 +422,6 @@ class Integration(Flatten):
     """Stack each segment's T frame features into one map: [B*T, C, L] -> [B, 1, T, C*L]."""
 
     def __init__(self, frames: int):
-        super().__init__()
         self.frames = frames
 
     def forward(self, x, train=False):
@@ -439,18 +430,15 @@ class Integration(Flatten):
 
 
 class Linear(Layer):
+    param_names = ("weight", "bias")
+
     def __init__(self, in_features: int, out_features: int,
                  rng: np.random.Generator | None = None):
         self.in_features = in_features
         self.out_features = out_features
-        self.weight = np.zeros((out_features, in_features), dtype=FLOAT)
+        self.weight = self._init_weight(rng, (out_features, in_features),
+                                        in_features, out_features)
         self.bias = np.zeros(out_features, dtype=FLOAT)
-        if rng is not None:
-            self.weight[:] = glorot_uniform(rng, self.weight.shape, in_features, out_features)
-        self._cache = None
-
-    def named_params(self):
-        return {"weight": self.weight, "bias": self.bias}
 
     def forward(self, x, train=False):
         if x.ndim != 2 or x.shape[1] != self.in_features:
@@ -465,16 +453,14 @@ class Linear(Layer):
         return grad @ self.weight
 
 
-class SoftmaxCrossEntropy:
+class SoftmaxCrossEntropy(Layer):
     """Fused softmax + cross-entropy head.
 
     `forward` turns logits into probabilities; `loss` evaluates the clamped
-    mean cross-entropy against integer labels; `backward(labels)` returns
-    the exact logit gradient (probs - onehot) / B of the mean loss.
+    mean cross-entropy against integer labels; `backward(labels)` takes the
+    train-mode probabilities and returns the exact logit gradient
+    (probs - onehot) / B of the mean loss.
     """
-
-    def __init__(self):
-        self._cache = None
 
     def forward(self, logits: np.ndarray, train: bool = False) -> np.ndarray:
         probs = softmax(logits)
@@ -487,9 +473,7 @@ class SoftmaxCrossEntropy:
         return float(-np.log(np.maximum(p_true, PROB_CLAMP)).mean())
 
     def backward(self, labels: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise StateError("SoftmaxCrossEntropy.backward called without a train-mode forward")
-        probs = self._cache
+        probs = self._take_cache()
         b = probs.shape[0]
         d = probs.copy()
         d[np.arange(b), np.asarray(labels)] -= 1.0
@@ -539,12 +523,7 @@ class Sequential(Layer):
         every piecewise-linear unit; a differing signature between two
         nearby points means a kink lies between them.
         """
-        sigs = tuple(
-            layer.activation_signature()
-            for layer in self.layers
-            if hasattr(layer, "activation_signature")
-        )
-        return hash(sigs)
+        return hash(tuple(layer.activation_signature() for layer in self.layers))
 
 
 class Network:

@@ -1,7 +1,7 @@
 """Cross-entropy objective, RMSProp updates, gradient verification, training loop.
 
-`gradient_check` takes any `layers.Network`: a `Model`, or a one-layer
-`StackFragment`. `train` takes every hyperparameter from `model.config`.
+`gradient_check` takes any `layers.Network`: a `Model`, or a `Network` over
+one layer. `train` takes every hyperparameter from `model.config`.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidLabelError, ShapeError
-from .layers import PROB_CLAMP, Network
+from .layers import PROB_CLAMP
 from .tensor_ops import FLOAT
 
 
@@ -58,9 +58,6 @@ class RmsProp:
             p -= self.learning_rate * g / (np.sqrt(s) + self.epsilon)
 
 
-StackFragment = Network  # a plain layer list plus the head, to check one layer alone
-
-
 def gradient_check(fragment, x: np.ndarray, labels: np.ndarray, step: float = 1e-5,
                    max_coords_per_param: Optional[int] = None, seed: int = 0,
                    atol: float = 1e-9) -> float:
@@ -75,11 +72,10 @@ def gradient_check(fragment, x: np.ndarray, labels: np.ndarray, step: float = 1e
     is zero and the central difference is float noise amplified by 1/2h).
 
     Central differences only estimate a derivative where the loss is smooth
-    across [theta-h, theta+h]. When the fragment exposes an
-    `activation_signature` (linear-region fingerprint) and the two endpoint
-    evaluations land on different regions, a ReLU or max-pool kink lies
-    inside the interval, so that coordinate has no valid oracle and is
-    skipped.
+    across [theta-h, theta+h]. When the fragment's `activation_signature`
+    (linear-region fingerprint) differs between the two endpoint
+    evaluations, a ReLU or max-pool kink lies inside the interval, so that
+    coordinate has no valid oracle and is skipped.
 
     Every train-mode forward moves batch-norm running statistics, so the
     fragment's `named_buffers()` are saved on entry and restored on exit:
@@ -91,7 +87,7 @@ def gradient_check(fragment, x: np.ndarray, labels: np.ndarray, step: float = 1e
         if not np.isfinite(value):
             raise ValueError(f"loss is not finite: {value}")
         params = fragment.named_params()
-        signature = getattr(fragment, "activation_signature", lambda: None)
+        signature = fragment.activation_signature
         rng = np.random.default_rng(seed)
 
         worst = 0.0

@@ -111,6 +111,19 @@ def conv_output_length(length: int, kernel: int, stride: int = 1, dilation: int 
     return (length - span) // stride + 1
 
 
+def _lowering(x_shape, kernel, strides, dilations):
+    """Normalise `(kernel, strides, dilations)` for a [B, C, *spatial] input;
+    strides and dilations default to 1. Returns them with the output extents."""
+    kernel = tuple(int(k) for k in kernel)
+    nsp = len(kernel)
+    strides = tuple(int(s) for s in strides) if strides is not None else (1,) * nsp
+    dilations = tuple(int(d) for d in dilations) if dilations is not None else (1,) * nsp
+    if len(x_shape) != nsp + 2:
+        raise ShapeError(f"expected [B, C, {nsp} spatial] input, got shape {tuple(x_shape)}")
+    out = tuple(map(conv_output_length, x_shape[2:], kernel, strides, dilations))
+    return kernel, strides, dilations, out
+
+
 def im2col_batch(
     x: np.ndarray,
     kernel: Sequence[int],
@@ -122,17 +135,8 @@ def im2col_batch(
     Returns [B, C * prod(kernel), prod(out)] where each column is one
     receptive-field patch flattened channel-major, kernel offsets row-major.
     """
-    kernel = tuple(int(k) for k in kernel)
+    kernel, strides, dilations, out = _lowering(x.shape, kernel, strides, dilations)
     nsp = len(kernel)
-    strides = tuple(int(s) for s in strides) if strides is not None else (1,) * nsp
-    dilations = tuple(int(d) for d in dilations) if dilations is not None else (1,) * nsp
-    if x.ndim != nsp + 2:
-        raise ShapeError(f"expected [B, C, {nsp} spatial] input, got shape {x.shape}")
-    spatial = x.shape[2:]
-    out = tuple(
-        conv_output_length(spatial[i], kernel[i], strides[i], dilations[i]) for i in range(nsp)
-    )
-
     spans = tuple((kernel[i] - 1) * dilations[i] + 1 for i in range(nsp))
     windows = sliding_window_view(x, spans, axis=tuple(range(2, 2 + nsp)))
     # windows: [B, C, *valid_positions, *spans]; subsample positions by stride
@@ -155,15 +159,9 @@ def col2im_batch(
     dilations: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Adjoint of `im2col_batch`: scatter-add patch columns back to [B, C, *spatial]."""
-    kernel = tuple(int(k) for k in kernel)
+    kernel, strides, dilations, out = _lowering(x_shape, kernel, strides, dilations)
     nsp = len(kernel)
-    strides = tuple(int(s) for s in strides) if strides is not None else (1,) * nsp
-    dilations = tuple(int(d) for d in dilations) if dilations is not None else (1,) * nsp
     b, c = x_shape[0], x_shape[1]
-    spatial = x_shape[2:]
-    out = tuple(
-        conv_output_length(spatial[i], kernel[i], strides[i], dilations[i]) for i in range(nsp)
-    )
     x = np.zeros(x_shape, dtype=FLOAT)
     cols = cols.reshape((b, c) + kernel + out)
     for tap in np.ndindex(kernel):

@@ -24,6 +24,7 @@ from atcnn.layers import (
     DilatedConv2d,
     Flatten,
     Linear,
+    Network,
     Pool2d,
     PointwiseConv,
     ReLU,
@@ -36,7 +37,7 @@ from atcnn.model import (
     desk_profile,
     paper_profile,
 )
-from atcnn.optim import StackFragment, gradient_check
+from atcnn.optim import gradient_check
 
 
 def _report(criterion: str, ok: bool, detail: str, elapsed: float, budget: float):
@@ -101,7 +102,7 @@ def test_criterion_3_gradient_correctness():
     for name, (layers, shape, n_classes) in cases.items():
         x = rng.standard_normal(shape)
         x[np.abs(x) < 0.01] += 0.05
-        frag = StackFragment(layers)
+        frag = Network(layers)
         per_layer[name] = gradient_check(frag, x, np.array([1] * shape[0]) % n_classes,
                                          step=1e-5)
     layer_ok = all(err <= 1e-6 for err in per_layer.values())

@@ -16,6 +16,7 @@ from atcnn.layers import (
     DilatedConv2d,
     Flatten,
     Linear,
+    Network,
     Pool2d,
     PointwiseConv,
     ReLU,
@@ -23,7 +24,7 @@ from atcnn.layers import (
     softmax,
 )
 from atcnn.model import build_model, desk_profile
-from atcnn.optim import StackFragment, gradient_check
+from atcnn.optim import gradient_check
 from atcnn.tensor_ops import FLOAT, im2col_batch
 
 RNG = np.random.default_rng(42)
@@ -295,6 +296,13 @@ class TestBackwardState:
         layer.forward(np.zeros(3), train=False)
         with pytest.raises(StateError):
             layer.backward(np.zeros(3))
+
+    def test_head_takes_its_cache_once(self):
+        head = SoftmaxCrossEntropy()
+        head.forward(np.log(np.array([[0.5, 0.25, 0.25]])), train=True)
+        head.backward(np.array([0]))
+        with pytest.raises(StateError):
+            head.backward(np.array([0]))
 
 
 # name -> (layer factory, train-mode input shape); every layer type, B=3
@@ -641,7 +649,7 @@ class TestPerLayerGradients:
     TOL = 1e-6
 
     def _check(self, layers, x, n_classes, seed=0, labels=None):
-        frag = StackFragment(layers)
+        frag = Network(layers)
         if labels is None:
             labels = np.array([seed % n_classes])
         err = gradient_check(frag, x, labels, step=1e-5, seed=seed)
@@ -723,7 +731,7 @@ class TestPerLayerGradients:
         rng = np.random.default_rng(19)
         layer = DepthwiseConv1d(3, 3, 1, rng=rng)
         x = rng.standard_normal((1, 3, 8))
-        frag = StackFragment([layer, Flatten()])
+        frag = Network([layer, Flatten()])
         labels = np.array([2])
         _, _, grads = frag.loss_and_grads(x, labels)
         analytic = grads["0.kernels"].copy()

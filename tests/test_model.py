@@ -396,3 +396,87 @@ class TestComplexityDeclineRatio:
             100 * 128 * 15 * 1)
         formula = complexity_decline_ratio(100, 15, 1)
         assert abs(counted - formula) / formula < 0.02
+
+
+# The checkpoint layout: every parameter and buffer name, in order, with its shape.
+DESK_PARAMS = [
+    ("extractor.0.weight", (16, 1, 26)), ("extractor.0.bias", (16,)),
+    ("extractor.1.gamma", (16,)), ("extractor.1.beta", (16,)),
+    ("extractor.3.kernels", (16, 6)), ("extractor.3.bias", (16,)),
+    ("extractor.4.gamma", (16,)), ("extractor.4.beta", (16,)),
+    ("extractor.6.weights", (32, 16)), ("extractor.6.bias", (32,)),
+    ("extractor.7.gamma", (32,)), ("extractor.7.beta", (32,)),
+    ("extractor.9.kernels", (32, 10)), ("extractor.9.bias", (32,)),
+    ("extractor.10.gamma", (32,)), ("extractor.10.beta", (32,)),
+    ("extractor.12.weights", (25, 32)), ("extractor.12.bias", (25,)),
+    ("extractor.13.gamma", (25,)), ("extractor.13.beta", (25,)),
+    ("dilated.0.weight", (16, 1, 3, 3)), ("dilated.0.bias", (16,)),
+    ("dilated.1.gamma", (16,)), ("dilated.1.beta", (16,)),
+    ("dilated.4.weight", (32, 16, 3, 3)), ("dilated.4.bias", (32,)),
+    ("dilated.5.gamma", (32,)), ("dilated.5.beta", (32,)),
+    ("dilated.8.weight", (64, 32, 3, 3)), ("dilated.8.bias", (64,)),
+    ("dilated.9.gamma", (64,)), ("dilated.9.beta", (64,)),
+    ("dilated.11.weight", (64, 64, 2, 1)), ("dilated.11.bias", (64,)),
+    ("dilated.12.gamma", (64,)), ("dilated.12.beta", (64,)),
+    ("dilated.14.weight", (64, 64, 2, 1)), ("dilated.14.bias", (64,)),
+    ("dilated.15.gamma", (64,)), ("dilated.15.beta", (64,)),
+    ("classifier.weight", (3, 64)), ("classifier.bias", (3,)),
+]
+DESK_BUFFERS = [
+    ("extractor.1.running_mean", (16,)), ("extractor.1.running_var", (16,)),
+    ("extractor.4.running_mean", (16,)), ("extractor.4.running_var", (16,)),
+    ("extractor.7.running_mean", (32,)), ("extractor.7.running_var", (32,)),
+    ("extractor.10.running_mean", (32,)), ("extractor.10.running_var", (32,)),
+    ("extractor.13.running_mean", (25,)), ("extractor.13.running_var", (25,)),
+    ("dilated.1.running_mean", (16,)), ("dilated.1.running_var", (16,)),
+    ("dilated.5.running_mean", (32,)), ("dilated.5.running_var", (32,)),
+    ("dilated.9.running_mean", (64,)), ("dilated.9.running_var", (64,)),
+    ("dilated.12.running_mean", (64,)), ("dilated.12.running_var", (64,)),
+    ("dilated.15.running_mean", (64,)), ("dilated.15.running_var", (64,)),
+]
+PAPER_PARAMS = [
+    ("extractor.0.weight", (64, 1, 204)), ("extractor.0.bias", (64,)),
+    ("extractor.1.gamma", (64,)), ("extractor.1.beta", (64,)),
+    ("extractor.3.kernels", (64, 12)), ("extractor.3.bias", (64,)),
+    ("extractor.4.gamma", (64,)), ("extractor.4.beta", (64,)),
+    ("extractor.6.weights", (128, 64)), ("extractor.6.bias", (128,)),
+    ("extractor.7.gamma", (128,)), ("extractor.7.beta", (128,)),
+    ("extractor.9.kernels", (128, 15)), ("extractor.9.bias", (128,)),
+    ("extractor.10.gamma", (128,)), ("extractor.10.beta", (128,)),
+    ("extractor.12.weights", (100, 128)), ("extractor.12.bias", (100,)),
+    ("extractor.13.gamma", (100,)), ("extractor.13.beta", (100,)),
+    ("dilated.0.weight", (64, 1, 3, 3)), ("dilated.0.bias", (64,)),
+    ("dilated.1.gamma", (64,)), ("dilated.1.beta", (64,)),
+    ("dilated.4.weight", (128, 64, 3, 3)), ("dilated.4.bias", (128,)),
+    ("dilated.5.gamma", (128,)), ("dilated.5.beta", (128,)),
+    ("dilated.8.weight", (256, 128, 3, 3)), ("dilated.8.bias", (256,)),
+    ("dilated.9.gamma", (256,)), ("dilated.9.beta", (256,)),
+    ("dilated.12.weight", (512, 256, 3, 3)), ("dilated.12.bias", (512,)),
+    ("dilated.13.gamma", (512,)), ("dilated.13.beta", (512,)),
+    ("dilated.16.weight", (512, 512, 3, 3)), ("dilated.16.bias", (512,)),
+    ("dilated.17.gamma", (512,)), ("dilated.17.beta", (512,)),
+    ("classifier.weight", (3, 512)), ("classifier.bias", (3,)),
+]
+PAPER_BUFFERS = [
+    ("extractor.1.running_mean", (64,)), ("extractor.1.running_var", (64,)),
+    ("extractor.4.running_mean", (64,)), ("extractor.4.running_var", (64,)),
+    ("extractor.7.running_mean", (128,)), ("extractor.7.running_var", (128,)),
+    ("extractor.10.running_mean", (128,)), ("extractor.10.running_var", (128,)),
+    ("extractor.13.running_mean", (100,)), ("extractor.13.running_var", (100,)),
+    ("dilated.1.running_mean", (64,)), ("dilated.1.running_var", (64,)),
+    ("dilated.5.running_mean", (128,)), ("dilated.5.running_var", (128,)),
+    ("dilated.9.running_mean", (256,)), ("dilated.9.running_var", (256,)),
+    ("dilated.13.running_mean", (512,)), ("dilated.13.running_var", (512,)),
+    ("dilated.17.running_mean", (512,)), ("dilated.17.running_var", (512,)),
+]
+
+
+class TestCheckpointLayout:
+    @pytest.mark.parametrize("profile, params, buffers", [
+        (desk_profile, DESK_PARAMS, DESK_BUFFERS),
+        (paper_profile, PAPER_PARAMS, PAPER_BUFFERS),
+    ], ids=["desk", "paper"])
+    def test_names_order_and_shapes(self, profile, params, buffers):
+        model = build_model(profile())
+        assert [(k, v.shape) for k, v in model.named_params().items()] == params
+        assert [(k, v.shape) for k, v in model.named_buffers().items()] == buffers

@@ -5,11 +5,10 @@ import pytest
 
 from atcnn.audio import default_synth_spec, frame_segment, split_dataset, synth_dataset
 from atcnn.errors import InvalidLabelError, ShapeError
-from atcnn.layers import BatchNorm, Flatten, Linear, ReLU
+from atcnn.layers import BatchNorm, Flatten, Linear, Network, ReLU
 from atcnn.model import build_model, desk_profile
 from atcnn.optim import (
     RmsProp,
-    StackFragment,
     cross_entropy,
     gradient_check,
     stack_dataset,
@@ -90,7 +89,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(5)
         layer = Linear(6, 3, rng=rng)
         layer.bias[:] = rng.standard_normal(3)
-        frag = StackFragment([layer])
+        frag = Network([layer])
         err = gradient_check(frag, rng.standard_normal((2, 6)), np.array([0, 2]), step=1e-5)
         assert err <= 1e-6
 
@@ -98,7 +97,7 @@ class TestGradientCheck:
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1, 4))
         x[np.abs(x) < 0.01] += 0.05
-        frag = StackFragment([ReLU()])
+        frag = Network([ReLU()])
         assert gradient_check(frag, x, np.array([1]), step=1e-5) == 0.0
 
     def test_non_finite_loss_rejected(self):
@@ -138,7 +137,7 @@ class TestGradientCheck:
 
     def test_fragment_running_statistics_restored(self):
         rng = np.random.default_rng(9)
-        frag = StackFragment([BatchNorm(3), Flatten()])
+        frag = Network([BatchNorm(3), Flatten()])
         x = rng.standard_normal((2, 3, 4)) * 2.0 + 1.0
         self._check_leaves_buffers(frag, x, np.array([1, 5]), lambda: frag.stack.forward(x))
 
