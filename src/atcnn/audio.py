@@ -4,6 +4,13 @@ Covers WAV decode/encode (PCM16 mono), 10 s segmentation, Hamming-windowed
 framing with per-frame normalization, stratified splitting, and a seeded
 synthetic ship-noise generator (machinery tonals + tilted broadband noise
 with propeller-style amplitude modulation).
+
+A `FrameSequence` keeps its segment's samples and framing geometry, not its
+frames, which at paper scale are 3.6x the samples: the frames are made when
+they are read, and `optim.stack_dataset` makes them straight into the
+stacked batch, so a loaded dataset holds its samples once and its frames
+only there. `load_dataset` keeps PCM16 samples as float32, which holds every
+code / 32768 exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,18 +32,63 @@ _CONST_VAR = 1e-30  # below this a windowed frame counts as constant
 
 @dataclass(frozen=True)
 class SampleBuffer:
-    samples: np.ndarray  # float64 in [-1, 1]
+    samples: np.ndarray  # in [-1, 1]; float64 from read_wav
     sample_rate: int
+
+
+class Framing(NamedTuple):
+    """T frames of N samples, `hop` samples apart."""
+
+    frame_length: int  # N
+    hop: int
+    frames_per_segment: int  # T
 
 
 @dataclass
 class FrameSequence:
-    """Framed, windowed, per-frame-normalized segment: the model input X."""
+    """One segment of the model input X, framed when read.
 
-    frames: np.ndarray  # [T, N]
+    Holds its own copy of the segment's samples (float32 or float64) and
+    their framing, not the [T, N] frames: `frames` makes them on every
+    read, and `frame_into` writes them into a caller's array.
+    """
+
+    samples: np.ndarray  # [hop * T]
+    framing: Framing
     segment_id: str = ""
     label: int = -1
     class_name: str = ""  # the manifest's name for `label`
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The windowed, per-frame-normalized frames [T, N], made anew."""
+        out = np.empty((self.framing.frames_per_segment, self.framing.frame_length),
+                       dtype=FLOAT)
+        self.frame_into(out)
+        return out
+
+    def frame_into(self, out: np.ndarray) -> None:
+        """Write the frames into `out` [T, N], using no other [T, N] array but np.var's.
+
+        Frame t covers samples [t*hop, t*hop + N); samples past the segment
+        end are zero. Each frame is Hamming-windowed, mean-removed and
+        scaled to unit variance (frames with no variance become all-zero
+        rows). The steps are those of the plain formula, in its order, so
+        the frames are bitwise the same.
+        """
+        n, hop, t = self.framing
+        needed = (t - 1) * hop + n  # may exceed the segment (zero tail) or fall short of it
+        padded = np.zeros(needed, dtype=FLOAT)
+        take = min(needed, self.samples.size)
+        padded[:take] = self.samples[:take]
+        out[...] = sliding_window_view(padded, n)[::hop][:t]
+        out *= hamming_window(n)
+        mean = out.mean(axis=1, keepdims=True)
+        var = out.var(axis=1, keepdims=True)
+        live = var > _CONST_VAR
+        out -= mean
+        out /= np.sqrt(np.where(live, var, 1.0))
+        out[~live[:, 0]] = 0.0
 
 
 def read_wav(path) -> SampleBuffer:
@@ -88,28 +140,21 @@ def hamming_window(n: int) -> np.ndarray:
 
 def frame_segment(segment: np.ndarray, config, segment_id: str = "",
                   label: int = -1) -> FrameSequence:
-    """Window one segment into T normalized frames of N samples.
+    """One segment as a FrameSequence of T frames of N samples.
 
-    Frame t covers samples [t*hop, t*hop + N); samples past the segment end
-    are zero. Each frame is Hamming-windowed, mean-removed and scaled to
-    unit variance (frames with no variance become all-zero rows). `config`
-    is anything with frame_length / hop / frames_per_segment attributes.
+    The FrameSequence keeps a copy of the segment: float32 samples stay
+    float32 (framing upcasts them exactly), any others become float64.
+    `config` is anything with frame_length / hop / frames_per_segment
+    attributes.
     """
-    n, hop, t = config.frame_length, config.hop, config.frames_per_segment
-    segment = np.asarray(segment, dtype=FLOAT)
-    if segment.ndim != 1 or segment.size != hop * t:
-        raise ShapeError(f"expected a segment of {hop * t} samples, got {segment.shape}")
-    needed = (t - 1) * hop + n  # may exceed the segment (zero tail) or fall short of it
-    padded = np.zeros(needed, dtype=FLOAT)
-    take = min(needed, segment.size)
-    padded[:take] = segment[:take]
-    frames = sliding_window_view(padded, n)[::hop][:t].copy()
-    frames *= hamming_window(n)
-    mean = frames.mean(axis=1, keepdims=True)
-    var = frames.var(axis=1, keepdims=True)
-    live = var > _CONST_VAR
-    frames = np.where(live, (frames - mean) / np.sqrt(np.where(live, var, 1.0)), 0.0)
-    return FrameSequence(frames=frames, segment_id=segment_id, label=label)
+    framing = Framing(config.frame_length, config.hop, config.frames_per_segment)
+    segment = np.asarray(segment)
+    if segment.ndim != 1 or segment.size != framing.hop * framing.frames_per_segment:
+        raise ShapeError(f"expected a segment of {framing.hop * framing.frames_per_segment} "
+                         f"samples, got {segment.shape}")
+    dtype = np.float32 if segment.dtype == np.float32 else FLOAT
+    return FrameSequence(samples=np.array(segment, dtype=dtype), framing=framing,
+                         segment_id=segment_id, label=label)
 
 
 def split_dataset(items: list, fraction: float = 0.8, seed: int = 0) -> tuple[list, list]:
@@ -298,11 +343,13 @@ def write_synth_dataset(spec: SynthSpec, out_dir) -> Path:
 
 
 def load_dataset(data_dir, config) -> list[FrameSequence]:
-    """Read a manifest directory into framed model inputs.
+    """Read a manifest directory into model inputs, one `frame_segment` call per segment.
 
     Files longer than 10 s contribute one FrameSequence per full segment,
-    each carrying its manifest line's class index and class name.
-    `config` needs sample_rate plus the framing attributes.
+    each carrying its manifest line's class index and class name. The
+    samples are kept as float32, which is exact for PCM16; nothing is
+    framed until the frames are read or stacked. `config` needs
+    sample_rate plus the framing attributes.
     """
     data_dir = Path(data_dir)
     manifest = data_dir / "manifest.txt"
@@ -327,6 +374,7 @@ def load_dataset(data_dir, config) -> list[FrameSequence]:
             raise FormatError(
                 f"{data_dir / rel}: sample rate {buffer.sample_rate} does not match "
                 f"the configured {config.sample_rate}")
+        buffer = replace(buffer, samples=buffer.samples.astype(np.float32))  # exact for PCM16
         for si, segment in enumerate(segment_audio(buffer)):
             framed = frame_segment(segment, config, segment_id=f"{rel}#{si}", label=label)
             out.append(replace(framed, class_name=name))

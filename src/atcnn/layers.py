@@ -8,7 +8,9 @@ weights come from one initialiser, `Layer._init_weight`; a train-mode
 forward leaves one cache that backward takes with `_take_cache`, so a
 second backward without a new train-mode forward raises `StateError`, in
 the softmax head (which caches its probabilities) as in every layer.
-Eval-mode forwards are pure and cache nothing. What train mode caches:
+Eval-mode forwards are pure and cache nothing. No forward writes into its
+input or a cache: a bias is added in place only into the layer's own fresh
+GEMM or einsum result. What train mode caches:
 - `Conv1d`, `DilatedConv2d`: the input `x`, not the patch matrix, which is
   up to kernel-size times larger; backward lowers `x` again with
   `im2col_batch`.
@@ -159,7 +161,8 @@ class Im2colConv(Layer):
                              f"{self.in_channels} channels on axis 1, got {x.shape}")
         out = tuple(map(conv_output_length, x.shape[2:], kernel, strides, dilations))
         cols = im2col_batch(x, kernel, strides, dilations)
-        y = np.matmul(self.weight.reshape(self.out_channels, -1), cols) + self.bias[:, None]
+        y = np.matmul(self.weight.reshape(self.out_channels, -1), cols)
+        y += self.bias[:, None]
         self._cache = x if train else None
         return y.reshape((x.shape[0], self.out_channels) + out)
 
@@ -205,7 +208,8 @@ class DepthwiseConv1d(Layer):
             raise ShapeError(f"DepthwiseConv1d expects [B, {self.channels}, L], got {x.shape}")
         conv_output_length(x.shape[2], self.kernel, self.stride)
         windows = sliding_window_view(x, self.kernel, axis=2)[:, :, :: self.stride, :]
-        y = np.einsum("bclk,ck->bcl", windows, self.kernels) + self.bias[None, :, None]
+        y = np.einsum("bclk,ck->bcl", windows, self.kernels)
+        y += self.bias[None, :, None]
         self._cache = (x.shape, windows) if train else None
         return y
 
@@ -243,7 +247,8 @@ class PointwiseConv(Layer):
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(f"PointwiseConv expects [B, {self.in_channels}, L], got {x.shape}")
-        y = np.matmul(self.weights, x) + self.bias[:, None]
+        y = np.matmul(self.weights, x)
+        y += self.bias[:, None]
         self._cache = x if train else None
         return y
 
@@ -300,7 +305,8 @@ class BatchNorm(Layer):
             self._cache = (xm, inv, mask, m, axes)
         else:
             inv = 1.0 / np.sqrt(np.maximum(self.running_var, VAR_FLOOR) + self.epsilon)
-            y = (x - self.running_mean.reshape(bshape)) * inv.reshape(bshape)
+            y = x - self.running_mean.reshape(bshape)
+            y *= inv.reshape(bshape)
             self._cache = None
         np.multiply(self.gamma.reshape(bshape), y, out=y)
         return np.add(y, self.beta.reshape(bshape), out=y)

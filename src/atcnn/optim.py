@@ -136,13 +136,25 @@ class TrainStats:
 
 
 def stack_dataset(frame_seqs) -> tuple[np.ndarray, np.ndarray]:
-    """List of labeled FrameSequences -> (segments [n, T, N], labels [n])."""
+    """Labeled FrameSequences -> (segments [n, T, N], labels [n]).
+
+    Allocates the batch once and frames each segment straight into its row,
+    so no segment's frames exist outside the batch. Every item must share
+    the first item's framing.
+    """
     if not frame_seqs:
         raise ValueError("dataset is empty")
-    xs = np.stack([fs.frames for fs in frame_seqs], dtype=FLOAT)
     labels = np.array([fs.label for fs in frame_seqs], dtype=np.int64)
     if np.any(labels < 0):
         raise InvalidLabelError("every training segment needs a label")
+    framing = frame_seqs[0].framing
+    for i, fs in enumerate(frame_seqs):
+        if fs.framing != framing:
+            raise ShapeError(f"item {i} is framed as {fs.framing}, item 0 as {framing}")
+    xs = np.empty((len(frame_seqs), framing.frames_per_segment, framing.frame_length),
+                  dtype=FLOAT)
+    for fs, row in zip(frame_seqs, xs):
+        fs.frame_into(row)
     return xs, labels
 
 

@@ -1,9 +1,12 @@
 import struct
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
+from atcnn import audio
 from atcnn.audio import (
     ClassSpec,
     SampleBuffer,
@@ -21,6 +24,7 @@ from atcnn.audio import (
 )
 from atcnn.errors import FormatError, InvalidSpecError, ShapeError
 from atcnn.model import desk_profile, paper_profile
+from atcnn.optim import stack_dataset
 
 
 def _write_pcm16(path, samples_i16, rate=48000, channels=1):
@@ -257,3 +261,114 @@ class TestDatasetFiles:
         write_synth_dataset(spec, tmp_path)
         with pytest.raises(FormatError, match="sample rate"):
             load_dataset(tmp_path, paper_profile())
+
+
+def _write_clips(directory, rate, clips):
+    """One PCM16 WAV per (int16 samples, label) clip, plus the manifest naming them."""
+    lines = []
+    for i, (pcm, label) in enumerate(clips):
+        _write_pcm16(directory / f"clip{i}.wav", pcm, rate=rate)
+        lines.append(f"clip{i}.wav,{label},class{label}")
+    (directory / "manifest.txt").write_text("\n".join(lines) + "\n")
+
+
+def _clips(cfg, seconds_and_labels, seed=0):
+    """Full-range random PCM16 clips whose last 3 s are silent, so some frames have no variance."""
+    rng = np.random.default_rng(seed)
+    clips = []
+    for seconds, label in seconds_and_labels:
+        pcm = rng.integers(-32768, 32768, seconds * cfg.sample_rate).astype("<i2")
+        pcm[-3 * cfg.sample_rate :] = 0
+        clips.append((pcm, label))
+    return clips
+
+
+def _eager_frames(segment, cfg):
+    """The framing `frame_segment` did eagerly before frames were made when read."""
+    n, hop, t = cfg.frame_length, cfg.hop, cfg.frames_per_segment
+    segment = np.asarray(segment, dtype=np.float64)
+    needed = (t - 1) * hop + n
+    padded = np.zeros(needed, dtype=np.float64)
+    take = min(needed, segment.size)
+    padded[:take] = segment[:take]
+    frames = sliding_window_view(padded, n)[::hop][:t].copy()
+    frames *= hamming_window(n)
+    mean = frames.mean(axis=1, keepdims=True)
+    var = frames.var(axis=1, keepdims=True)
+    live = var > 1e-30
+    return np.where(live, (frames - mean) / np.sqrt(np.where(live, var, 1.0)), 0.0)
+
+
+class TestFramedWhenRead:
+    """Loaded segments keep float32 samples; frames are made into the stacked batch."""
+
+    # desk: a 25 s clip (two segments and a dropped tail), 10 s and 12 s clips;
+    # paper: one 20 s clip, two segments
+    CLIPS = {"desk": [(25, 0), (10, 1), (12, 2)], "paper": [(20, 1)]}
+
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_stacked_batch_equals_eager_framing_bitwise(self, tmp_path, profile):
+        cfg = {"desk": desk_profile, "paper": paper_profile}[profile]()
+        _write_clips(tmp_path, cfg.sample_rate, _clips(cfg, self.CLIPS[profile]))
+        dataset = load_dataset(tmp_path, cfg)
+        xs, labels = stack_dataset(dataset)
+        expect = np.stack([
+            _eager_frames(segment, cfg)
+            for i in range(len(self.CLIPS[profile]))
+            for segment in segment_audio(read_wav(tmp_path / f"clip{i}.wav"))])
+        assert xs.shape == expect.shape
+        assert not xs[-1, -1].any()  # the silent tail gives all-zero rows
+        assert np.array_equal(xs.view(np.uint64), expect.view(np.uint64))
+        assert np.array_equal(labels, [fs.label for fs in dataset])
+        for fs, row in zip(dataset, xs):
+            assert fs.samples.dtype == np.float32
+            assert np.array_equal(fs.frames.view(np.uint64), row.view(np.uint64))
+
+    def test_every_pcm16_code_round_trips_through_float32(self, tmp_path):
+        path = tmp_path / "codes.wav"
+        _write_pcm16(path, np.arange(-32768, 32768))
+        samples = read_wav(path).samples
+        assert np.unique(samples).size == 65536
+        back = samples.astype(np.float32).astype(np.float64)
+        assert np.array_equal(back.view(np.uint64), samples.view(np.uint64))
+
+    def test_load_and_stack_peak_within_twice_the_batch(self, tmp_path):
+        # Holding every segment's frames and then copying them into the batch
+        # peaks above twice the batch; framing into the batch stays below.
+        cfg = paper_profile()
+        _write_clips(tmp_path, cfg.sample_rate, _clips(cfg, self.CLIPS["paper"]))
+        tracemalloc.start()
+        try:
+            xs, _ = stack_dataset(load_dataset(tmp_path, cfg))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xs.shape[0] == 2
+        assert peak <= 2 * xs.nbytes, f"peak {peak / 2**20:.1f} MiB, batch {xs.nbytes / 2**20:.1f}"
+
+    def test_load_dataset_calls_frame_segment_once_per_segment(self, tmp_path, monkeypatch):
+        # the benchmark's tracer times framing by wrapping this module attribute
+        cfg = desk_profile()
+        _write_clips(tmp_path, cfg.sample_rate, _clips(cfg, self.CLIPS["desk"]))
+        calls = []
+        original = audio.frame_segment
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["segment_id"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(audio, "frame_segment", counted)
+        dataset = load_dataset(tmp_path, cfg)
+        assert calls == [fs.segment_id for fs in dataset]
+        assert calls == ["clip0.wav#0", "clip0.wav#1", "clip1.wav#0", "clip2.wav#0"]
+
+    def test_segment_is_copied_not_aliased(self):
+        cfg = desk_profile()
+        for dtype in (np.float64, np.float32):
+            segment = np.random.default_rng(2).uniform(-0.5, 0.5, cfg.segment_samples)
+            segment = segment.astype(dtype)
+            fs = frame_segment(segment, cfg)
+            before = fs.frames
+            segment[:] = 0.0
+            assert fs.samples.dtype == dtype
+            assert np.array_equal(fs.frames, before)

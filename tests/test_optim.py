@@ -6,7 +6,7 @@ import pytest
 from atcnn.audio import default_synth_spec, frame_segment, split_dataset, synth_dataset
 from atcnn.errors import InvalidLabelError, ShapeError
 from atcnn.layers import BatchNorm, Flatten, Linear, Network, ReLU
-from atcnn.model import build_model, desk_profile
+from atcnn.model import build_model, desk_profile, paper_profile
 from atcnn.optim import (
     RmsProp,
     cross_entropy,
@@ -182,3 +182,11 @@ class TestTraining:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             stack_dataset([])
+
+    def test_mixed_framing_rejected_naming_the_item(self):
+        desk, paper = desk_profile(), paper_profile()
+        items = [frame_segment(np.zeros(desk.segment_samples), desk, label=0),
+                 frame_segment(np.zeros(desk.segment_samples), desk, label=1),
+                 frame_segment(np.zeros(paper.segment_samples), paper, label=2)]
+        with pytest.raises(ShapeError, match="item 2 is framed as"):
+            stack_dataset(items)
