@@ -22,14 +22,14 @@ from .model import (
     Model,
     ModelConfig,
     build_model,
-    complexity_decline_ratio,
     count_resources,
     desk_profile,
     get_profile,
     paper_profile,
     shape_trace,
 )
-from .optim import RmsProp, TrainStats, cross_entropy, gradient_check, train
+from .optim import RmsProp, TrainStats, gradient_check, train
+from .reference import complexity_decline_ratio, cross_entropy
 
 __all__ = [
     "FrameSequence",

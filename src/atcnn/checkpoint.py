@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigurationError
 from .model import DilatedBlockSpec, ExtractorLayerSpec, Model, ModelConfig, build_model
 from .tensor_ops import FLOAT
 
@@ -92,7 +92,8 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     """Rebuild a model from a checkpoint; bitwise round trip of all tensors.
 
     The model is built from the embedded config, and every stored tensor
-    must match it; the first mismatched tensor is named in the error.
+    must match it; the first mismatched tensor, or the first stage of a
+    config that does not close, is named in the error.
     Returns (model, {"seed": training seed, "epoch": last epoch}).
     """
     path = Path(path)
@@ -113,7 +114,10 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     if r.pos != len(r.data):
         raise CheckpointError(f"{path}: {len(r.data) - r.pos} trailing bytes")
 
-    model = build_model(config, seed=0)
+    try:
+        model = build_model(config, seed=0)
+    except ConfigurationError as exc:
+        raise CheckpointError(f"{path}: stored config does not close: {exc}") from exc
     for target, stored in ((model.named_params(), params), (model.named_buffers(), buffers)):
         for name, arr in target.items():
             if name not in stored:

@@ -515,8 +515,9 @@ class Sequential(Layer):
         """Backpropagate through every layer; ``input_grad=False`` has the first
         layer skip its input gradient and returns None. Only `Im2colConv` and
         `Sequential` take ``input_grad``, so with ``input_grad=False`` the
-        first layer must be one, as `Model`'s extractor, which starts with a
-        `Conv1d`, is."""
+        first layer must be one of them. `Model.backward` passes it to the
+        extractor, so the layer plan rejects an extractor that does not
+        start with a standard 'conv' (a `Conv1d`)."""
         for layer in reversed(self.layers[1:]):
             grad = layer.backward(grad)
         first = self.layers[0]

@@ -14,10 +14,12 @@ classifier on the batch. The benchmark reads `extractor.layers`,
 `dilated.layers`, `classifier` and `head`, and wraps methods on the
 instance, so the walk looks them up at call time.
 
-`shape_trace` is the layer plan and the one place that does shape and cost
-arithmetic: one walk over the config gives every stage's shapes,
-mult-adds and parameter count. `count_resources` sums its entries and
-`build_model` reads its channel counts.
+One walk over the config (`_walk`) is the layer plan and the one place
+that does shape and cost arithmetic: it builds each stage's layers where
+it works out that stage's shapes, mult-adds and parameter count, and
+raises ConfigurationError at the first stage that does not close.
+`shape_trace` is its entries (with zero weights), `count_resources` sums
+them, and `build_model` is the `Model` over its parts.
 """
 
 from __future__ import annotations
@@ -160,12 +162,12 @@ def get_profile(name: str) -> ModelConfig:
 
 
 # ---------------------------------------------------------------------------
-# Layer plan: shapes and costs
+# Layer plan: shapes, costs and the layers themselves
 
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One planned stage: channel-first shapes and cost; `note` is set on violations.
+    """One planned stage: channel-first shapes and cost.
 
     `mult_adds` counts the stage's multiply-accumulates per input it sees (one
     frame in the extractor, one segment after it); `params` counts its
@@ -178,112 +180,106 @@ class TraceEntry:
     output_shape: tuple[int, ...]
     mult_adds: int = 0
     params: int = 0
-    note: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return not self.note
 
 
-def _weighted(name: str, kind: str, in_shape: tuple, out_shape: tuple, fan_in: int) -> TraceEntry:
-    """A stage whose every output value is a `fan_in`-term dot product plus a bias."""
-    c_out, positions = out_shape[0], math.prod(out_shape[1:])
+def _weighted(name: str, kind: str, in_shape: tuple, out_shape: tuple, layer) -> TraceEntry:
+    """A conv or linear stage: each weight of `layer` takes part in one
+    multiply-add per output position."""
+    weight, bias = layer.named_params().values()
+    positions = math.prod(out_shape[1:])
     return TraceEntry(name, kind, in_shape, out_shape,
-                      mult_adds=c_out * fan_in * positions, params=c_out * fan_in + c_out)
+                      mult_adds=weight.size * positions, params=weight.size + bias.size)
+
+
+def _walk(config: ModelConfig, rng: Optional[np.random.Generator]):
+    """The layer plan and the layers it plans, from one walk over the config.
+
+    Returns the plan entries in call order and the (extractor, dilated,
+    classifier) parts that `Model` takes. Each stage's layers are built
+    where its shapes are worked out, so weights are drawn from `rng` in
+    layer order; with `rng=None` they are zeros. The first stage that does
+    not close raises ConfigurationError("<stage>: <reason>").
+    """
+    entries: list[TraceEntry] = []
+    stage = "extractor.0"
+    try:
+        first = config.extractor[0].kind if config.extractor else None
+        if first != "conv":
+            # Model.backward skips the waveform gradient, which only a standard conv can skip
+            raise ShapeError(f"the extractor must start with a 'conv' layer, got {first!r}")
+        extractor: list = []
+        channels, length = 1, config.frame_length
+        for i, spec in enumerate(config.extractor):
+            stage, in_shape = f"extractor.{i}", (channels, length)
+            if spec.kind == "conv":
+                length = conv_output_length(length, spec.kernel, spec.stride)
+                conv = Conv1d(channels, spec.out_channels, spec.kernel, spec.stride, rng=rng)
+                channels = spec.out_channels
+            elif spec.kind == "dw":
+                length = conv_output_length(length, spec.kernel, spec.stride)
+                conv = DepthwiseConv1d(channels, spec.kernel, spec.stride, rng=rng)
+            elif spec.kind == "pw":
+                conv = PointwiseConv(channels, spec.out_channels, rng=rng)
+                channels = spec.out_channels
+            else:
+                raise ShapeError(f"unknown extractor layer kind {spec.kind!r}")
+            entries.append(_weighted(stage, spec.kind, in_shape, (channels, length), conv))
+            extractor += [conv, BatchNorm(channels), ReLU()]
+
+        stage, t, f = "features", config.frames_per_segment, config.feature_length
+        if channels * length != f:
+            raise ShapeError(f"extractor yields {channels * length} features, config declares {f}")
+        entries.append(TraceEntry(stage, "flatten", (channels, length), (f,)))
+        entries.append(TraceEntry("integration", "stack", (f,), (1, t, f)))
+
+        dilated: list = []
+        c, h, w = 1, t, f
+        for j, block in enumerate(config.dilated):
+            stage, in_shape = f"dilated.{j}", (c, h, w)
+            h = conv_output_length(h, block.kernel_h, 1, block.dilation)
+            w = conv_output_length(w, block.kernel_w)
+            conv = DilatedConv2d(c, block.out_channels, block.kernel_h, block.kernel_w,
+                                 block.dilation, rng=rng)
+            c = block.out_channels
+            entries.append(_weighted(stage, "dconv", in_shape, (c, h, w), conv))
+            dilated += [conv, BatchNorm(c), ReLU()]
+            if block.pool is not None:
+                stage, in_shape = f"{stage}.pool", (c, h, w)
+                if h < 2 or w < 2:
+                    raise ShapeError(f"pooling needs H >= 2 and W >= 2, got {h}x{w}")
+                dilated.append(Pool2d(block.pool))
+                h, w = h // 2, w // 2
+                entries.append(TraceEntry(stage, block.pool, in_shape, (c, h, w)))
+        flat = c * h * w
+        entries.append(TraceEntry("flatten", "flatten", (c, h, w), (flat,)))
+        dilated.append(Flatten())
+
+        stage = "classifier"
+        if config.class_count < 2:
+            raise ShapeError("class count must be >= 2")
+        classifier = Linear(flat, config.class_count, rng=rng)
+        entries.append(_weighted(stage, "linear", (flat,), (config.class_count,), classifier))
+    except ValueError as exc:  # a shape that does not close, or a value no layer takes
+        raise ConfigurationError(f"{stage}: {exc}") from exc
+    return entries, (Sequential(extractor), Sequential(dilated), classifier)
 
 
 def shape_trace(config: ModelConfig) -> list[TraceEntry]:
     """The layer plan: shapes, mult-adds and params of every stage in call order.
 
-    Pure arithmetic over the config; a violation becomes the last entry.
+    Raises ConfigurationError naming the first stage that does not close.
     """
-    entries: list[TraceEntry] = []
-
-    def fail(name, kind, in_shape, msg):
-        entries.append(TraceEntry(name, kind, in_shape, (), note=msg))
-        return entries
-
-    channels, length = 1, config.frame_length
-    for i, spec in enumerate(config.extractor):
-        name = f"extractor.{i}"
-        in_shape = (channels, length)
-        try:
-            if spec.kind == "conv":
-                length = conv_output_length(length, spec.kernel, spec.stride)
-                fan_in, channels = channels * spec.kernel, spec.out_channels
-            elif spec.kind == "dw":
-                length = conv_output_length(length, spec.kernel, spec.stride)
-                fan_in = spec.kernel
-            elif spec.kind == "pw":
-                fan_in, channels = channels, spec.out_channels
-            else:
-                raise ShapeError(f"unknown extractor layer kind {spec.kind!r}")
-        except ShapeError as exc:
-            return fail(name, spec.kind, in_shape, str(exc))
-        entries.append(_weighted(name, spec.kind, in_shape, (channels, length), fan_in))
-
-    if channels * length != config.feature_length:
-        return fail("features", "flatten", (channels, length),
-                    f"extractor yields {channels * length} features, config declares "
-                    f"{config.feature_length}")
-    entries.append(TraceEntry("features", "flatten", (channels, length),
-                              (config.feature_length,)))
-
-    t, f = config.frames_per_segment, config.feature_length
-    entries.append(TraceEntry("integration", "stack", (config.feature_length,), (1, t, f)))
-
-    c, h, w = 1, t, f
-    for j, block in enumerate(config.dilated):
-        name = f"dilated.{j}"
-        in_shape = (c, h, w)
-        try:
-            h = conv_output_length(h, block.kernel_h, 1, block.dilation)
-            w = conv_output_length(w, block.kernel_w)
-        except ShapeError as exc:
-            return fail(name, "dconv", in_shape, str(exc))
-        fan_in, c = c * block.kernel_h * block.kernel_w, block.out_channels
-        entries.append(_weighted(name, "dconv", in_shape, (c, h, w), fan_in))
-        if block.pool is not None:
-            in_shape = (c, h, w)
-            if h < 2 or w < 2:
-                return fail(f"{name}.pool", block.pool, in_shape,
-                            f"pooling needs H >= 2 and W >= 2, got {h}x{w}")
-            h, w = h // 2, w // 2
-            entries.append(TraceEntry(f"{name}.pool", block.pool, in_shape, (c, h, w)))
-
-    flat = c * h * w
-    entries.append(TraceEntry("flatten", "flatten", (c, h, w), (flat,)))
-    if config.class_count < 2:
-        return fail("classifier", "linear", (flat,), "class count must be >= 2")
-    entries.append(_weighted("classifier", "linear", (flat,), (config.class_count,), flat))
-    return entries
-
-
-def _plan(config: ModelConfig) -> list[TraceEntry]:
-    """The shape trace of a config whose shapes close; else ConfigurationError."""
-    trace = shape_trace(config)
-    if not trace[-1].ok:  # a violation ends the trace
-        raise ConfigurationError(f"{trace[-1].name}: {trace[-1].note}")
-    return trace
+    return _walk(config, None)[0]
 
 
 def format_trace(entries: list[TraceEntry]) -> str:
-    """Human-readable trace; 1-d shapes print length x channels, 2-d print HxWxC."""
+    """Human-readable trace; shapes print channels last (L x C, H x W x C)."""
 
     def disp(shape):
-        if len(shape) == 2:  # (C, L)
-            return f"{shape[1]}x{shape[0]}"
-        if len(shape) == 3:  # (C, H, W)
-            return f"{shape[1]}x{shape[2]}x{shape[0]}"
-        if len(shape) == 1:
-            return str(shape[0])
-        return "-"
+        return "x".join(map(str, shape[1:] + shape[:1]))
 
-    lines = []
-    for e in entries:
-        out = disp(e.output_shape) if e.ok else f"INVALID ({e.note})"
-        lines.append(f"{e.name:<16} {e.kind:<8} {disp(e.input_shape):>12} -> {out}")
-    return "\n".join(lines)
+    return "\n".join(f"{e.name:<16} {e.kind:<8} {disp(e.input_shape):>12} -> "
+                     f"{disp(e.output_shape)}" for e in entries)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +306,7 @@ class ResourceReport:
 
 
 def count_resources(config: ModelConfig) -> ResourceReport:
-    rows = tuple(e for e in _plan(config) if e.kind not in ("flatten", "stack"))
+    rows = tuple(e for e in shape_trace(config) if e.kind not in ("flatten", "stack"))
     conv_params = sum(r.params for r in rows)
     # every convolution is followed by a batch norm with a scale and shift per channel
     bn_params = sum(2 * r.output_shape[0] for r in rows if r.kind in ("conv", "dw", "pw", "dconv"))
@@ -349,13 +345,6 @@ def format_resources(report: ResourceReport) -> str:
         f"pointwise share of DWS params: {100.0 * report.dws_pointwise_param_share:.1f}%"
     )
     return "\n".join(lines)
-
-
-def complexity_decline_ratio(out_channels: int, kernel_h: int, kernel_w: int) -> float:
-    """Cost of a depthwise+pointwise pair relative to one standard convolution."""
-    if out_channels < 1 or kernel_h < 1 or kernel_w < 1:
-        raise ValueError("out_channels and kernel extents must be >= 1")
-    return 1.0 / out_channels + 1.0 / (kernel_h * kernel_w)
 
 
 # ---------------------------------------------------------------------------
@@ -431,38 +420,8 @@ class Model(Network):
 
 
 def build_model(config: ModelConfig, seed: int = 0) -> Model:
-    """Instantiate the plan's layers; raises ConfigurationError if shapes do not close.
+    """The planned model, weights drawn from one seeded generator in layer order.
 
-    Initial weights are drawn from one seeded generator in layer order.
+    Raises ConfigurationError naming the first stage that does not close.
     """
-    plan = {e.name: e for e in _plan(config)}
-    rng = np.random.default_rng(seed)
-
-    ext_layers: list = []
-    for i, spec in enumerate(config.extractor):
-        e = plan[f"extractor.{i}"]
-        c_in, c_out = e.input_shape[0], e.output_shape[0]
-        if spec.kind == "conv":
-            conv = Conv1d(c_in, c_out, spec.kernel, spec.stride, rng=rng)
-        elif spec.kind == "dw":
-            conv = DepthwiseConv1d(c_in, spec.kernel, spec.stride, rng=rng)
-        else:
-            conv = PointwiseConv(c_in, c_out, rng=rng)
-        ext_layers += [conv, BatchNorm(c_out), ReLU()]
-
-    dil_layers: list = []
-    for j, block in enumerate(config.dilated):
-        e = plan[f"dilated.{j}"]
-        c_in, c_out = e.input_shape[0], e.output_shape[0]
-        dil_layers += [
-            DilatedConv2d(c_in, c_out, block.kernel_h, block.kernel_w, block.dilation, rng=rng),
-            BatchNorm(c_out),
-            ReLU(),
-        ]
-        if block.pool is not None:
-            dil_layers.append(Pool2d(block.pool))
-    dil_layers.append(Flatten())
-
-    cls = plan["classifier"]
-    classifier = Linear(cls.input_shape[0], cls.output_shape[0], rng=rng)
-    return Model(config, Sequential(ext_layers), Sequential(dil_layers), classifier)
+    return Model(config, *_walk(config, np.random.default_rng(seed))[1])

@@ -1,4 +1,4 @@
-"""Cross-entropy objective, RMSProp updates, gradient verification, training loop.
+"""RMSProp updates, gradient verification, training loop.
 
 `gradient_check` takes any `layers.Network`: a `Model`, or a `Network` over
 one layer. `train` takes every hyperparameter from `model.config`.
@@ -13,22 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidLabelError, ShapeError
-from .layers import PROB_CLAMP
 from .tensor_ops import FLOAT
-
-
-def cross_entropy(prediction: np.ndarray, label: np.ndarray) -> float:
-    """-sum_c y_c * ln(max(p_c, 1e-12)) for one probability vector / one-hot pair."""
-    p = np.asarray(prediction, dtype=FLOAT)
-    y = np.asarray(label, dtype=FLOAT)
-    if p.shape != y.shape or p.ndim != 1:
-        raise ShapeError(f"prediction and label must be equal-length vectors, "
-                         f"got {p.shape} and {y.shape}")
-    if not (np.all((y == 0.0) | (y == 1.0)) and y.sum() == 1.0):
-        raise InvalidLabelError(f"label must be one-hot, got {y}")
-    if abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError(f"prediction must sum to 1 (got {p.sum()!r})")
-    return float(-(y * np.log(np.maximum(p, PROB_CLAMP))).sum())
 
 
 class RmsProp:

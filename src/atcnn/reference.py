@@ -1,15 +1,41 @@
-"""Naive loop implementations of every convolution variant.
+"""Test-side oracles: naive loop convolutions and the paper's formulas.
 
-These are the independent oracles the fast im2col/GEMM paths are checked
-against. Triple loops, no vectorization on purpose; only run them on small
-inputs.
+The loop implementations of every convolution variant are the independent
+oracles the fast im2col/GEMM paths are checked against. Triple loops, no
+vectorization on purpose; only run them on small inputs. `cross_entropy`
+(one vector's clamped loss) and `complexity_decline_ratio` (the cost of a
+depthwise-separable pair) are the paper's formulas, against which the
+softmax head's loss and the counted mult-adds are checked.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidLabelError, ShapeError
+from .layers import PROB_CLAMP
 from .tensor_ops import FLOAT, conv_output_length
+
+
+def cross_entropy(prediction: np.ndarray, label: np.ndarray) -> float:
+    """-sum_c y_c * ln(max(p_c, 1e-12)) for one probability vector / one-hot pair."""
+    p = np.asarray(prediction, dtype=FLOAT)
+    y = np.asarray(label, dtype=FLOAT)
+    if p.shape != y.shape or p.ndim != 1:
+        raise ShapeError(f"prediction and label must be equal-length vectors, "
+                         f"got {p.shape} and {y.shape}")
+    if not (np.all((y == 0.0) | (y == 1.0)) and y.sum() == 1.0):
+        raise InvalidLabelError(f"label must be one-hot, got {y}")
+    if abs(p.sum() - 1.0) > 1e-9:
+        raise ValueError(f"prediction must sum to 1 (got {p.sum()!r})")
+    return float(-(y * np.log(np.maximum(p, PROB_CLAMP))).sum())
+
+
+def complexity_decline_ratio(out_channels: int, kernel_h: int, kernel_w: int) -> float:
+    """Cost of a depthwise+pointwise pair relative to one standard convolution."""
+    if out_channels < 1 or kernel_h < 1 or kernel_w < 1:
+        raise ValueError("out_channels and kernel extents must be >= 1")
+    return 1.0 / out_channels + 1.0 / (kernel_h * kernel_w)
 
 
 def conv1d_direct(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:

@@ -9,14 +9,7 @@ from atcnn.audio import default_synth_spec, write_synth_dataset
 from atcnn.checkpoint import load_checkpoint, save_checkpoint
 from atcnn.cli import main, parse_config
 from atcnn.errors import CheckpointError, ConfigurationError
-from atcnn.model import (
-    ExtractorLayerSpec,
-    build_model,
-    desk_profile,
-    format_trace,
-    paper_profile,
-    shape_trace,
-)
+from atcnn.model import ExtractorLayerSpec, build_model, desk_profile, paper_profile, shape_trace
 
 # sha256 of the stdout of `atcnn <command> --profile <profile>`
 REPORT_SHA256 = {
@@ -114,6 +107,16 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="tensor"):
             load_checkpoint(path)
 
+    def test_config_that_does_not_close_names_file_and_stage(self, tmp_path):
+        model = build_model(desk_profile(), seed=0)
+        model.config = replace(model.config, feature_length=30)  # the extractor yields 25
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+        assert "features: extractor yields 25 features, config declares 30" in str(info.value)
+
 
 @pytest.fixture(scope="module")
 def small_dataset(tmp_path_factory):
@@ -151,8 +154,9 @@ class TestCommands:
         config = paper_profile()
         extractor = list(config.extractor)
         extractor[3] = ExtractorLayerSpec("dw", kernel=16, stride=1)  # input extent 15
-        text = format_trace(shape_trace(replace(config, extractor=tuple(extractor))))
-        assert "INVALID (kernel span 16 (kernel 16) exceeds input extent 15)" in text
+        with pytest.raises(ConfigurationError) as info:
+            shape_trace(replace(config, extractor=tuple(extractor)))
+        assert str(info.value) == "extractor.3: kernel span 16 (kernel 16) exceeds input extent 15"
 
     def test_gradcheck_desk(self, capsys):
         assert main(["gradcheck", "--profile", "desk", "--seed", "1"]) == 0

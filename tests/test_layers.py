@@ -284,6 +284,18 @@ class TestClassifierSoftmax:
         expected = [[0.25, -0.375, 0.125], [0.1, 0.1, -0.2]]  # (p - onehot) / B, B = 2
         assert np.allclose(head.backward(np.array([1, 2])), expected, atol=1e-12)
 
+    def test_loss_is_the_mean_of_the_reference_cross_entropy_over_rows(self):
+        # the head's vectorised loss and the paper's one-vector formula agree bitwise,
+        # also where the 1e-12 clamp applies (logits up to +-60 underflow a probability)
+        rng = np.random.default_rng(44)
+        head = SoftmaxCrossEntropy()
+        for _ in range(300):
+            b, c = rng.integers(1, 9), rng.integers(2, 7)
+            probs = head.forward(rng.standard_normal((b, c)) * rng.choice([1.0, 10.0, 60.0]))
+            labels = rng.integers(0, c, size=b)
+            rows = [reference.cross_entropy(p, np.eye(c)[k]) for p, k in zip(probs, labels)]
+            assert head.loss(probs, labels) == np.mean(rows)
+
 
 class TestBackwardState:
     def test_backward_without_forward_raises(self):
@@ -427,6 +439,22 @@ class TestCacheContract:
         layer = factory(np.random.default_rng(36))
         dx, _ = _forward_backward(layer, np.random.default_rng(37).standard_normal(shape))
         assert dx.shape == shape and dx.flags.c_contiguous
+
+
+class TestInputsAreNotWritten:
+    """No forward or backward writes into its argument: every one takes read-only arrays."""
+
+    @pytest.mark.parametrize("name", sorted(LAYER_CASES))
+    def test_forward_and_backward_take_read_only_arrays(self, name):
+        factory, shape = LAYER_CASES[name]
+        layer = factory(np.random.default_rng(41))
+        x = np.random.default_rng(42).standard_normal(shape)
+        x.setflags(write=False)
+        layer.forward(x)
+        y = layer.forward(x, train=True)
+        grad = np.random.default_rng(43).standard_normal(y.shape)
+        grad.setflags(write=False)
+        layer.backward(grad)
 
 
 class TestWaveformGradientSkipped:

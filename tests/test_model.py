@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from atcnn.layers import (
 from atcnn.model import (
     ExtractorLayerSpec,
     build_model,
-    complexity_decline_ratio,
     count_resources,
     desk_profile,
     format_trace,
@@ -25,6 +25,7 @@ from atcnn.model import (
     shape_trace,
 )
 from atcnn.optim import RmsProp
+from atcnn.reference import complexity_decline_ratio
 
 PAPER_DILATED_STAGES = [
     (1, 800, 100),
@@ -99,21 +100,21 @@ class TestShapeTrace:
     def test_closure_every_stage_feeds_the_next(self):
         for cfg in (paper_profile(), desk_profile()):
             trace = shape_trace(cfg)
-            assert all(e.ok for e in trace)
             for prev, nxt in zip(trace, trace[1:]):
                 if nxt.name == "integration":
                     continue  # stacking T feature vectors changes rank
                 assert prev.output_shape == nxt.input_shape, (prev, nxt)
 
-    def test_violation_reported_not_thrown(self):
+    def test_violation_raises_naming_its_stage(self):
         cfg = paper_profile()
         broken = dataclasses.replace(cfg, extractor=(
             cfg.extractor[0],
             ExtractorLayerSpec("dw", kernel=13, stride=2),
             *cfg.extractor[2:],
         ))
-        trace = shape_trace(broken)
-        assert any(not e.ok for e in trace)
+        with pytest.raises(ConfigurationError, match=r"^extractor\.3: kernel span 15 "
+                                                     r"\(kernel 15\) exceeds input extent 14$"):
+            shape_trace(broken)
 
     def test_format_contains_table_shapes(self):
         text = format_trace(shape_trace(paper_profile()))
@@ -140,6 +141,51 @@ class TestBuildValidation:
         broken = dataclasses.replace(cfg, feature_length=30)
         with pytest.raises(ConfigurationError, match="features"):
             build_model(broken, seed=0)
+
+
+    @pytest.mark.parametrize("first", [ExtractorLayerSpec("dw", kernel=26, stride=10),
+                                       ExtractorLayerSpec("pw", out_channels=16)],
+                             ids=["dw", "pw"])
+    def test_extractor_must_start_with_a_standard_conv(self, first):
+        # Model.backward skips the waveform gradient, which only a Conv1d can skip;
+        # a dw or pw first layer used to build and then fail in backward with a TypeError
+        cfg = desk_profile()
+        broken = dataclasses.replace(cfg, extractor=(first, *cfg.extractor[1:]))
+        for build in (shape_trace, build_model):
+            with pytest.raises(ConfigurationError, match=r"^extractor\.0: .*'conv'"):
+                build(broken)
+
+    def test_unknown_pool_kind_names_its_stage(self):
+        cfg = desk_profile()
+        blocks = (dataclasses.replace(cfg.dilated[0], pool="min"), *cfg.dilated[1:])
+        with pytest.raises(ConfigurationError, match=r"^dilated\.0\.pool: pool kind"):
+            shape_trace(dataclasses.replace(cfg, dilated=blocks))
+
+    def test_empty_extractor_rejected(self):
+        cfg = desk_profile()
+        with pytest.raises(ConfigurationError, match=r"^extractor\.0: "):
+            build_model(dataclasses.replace(cfg, extractor=()), seed=0)
+
+
+def _state_digest(model) -> str:
+    """First 16 hex digits of sha256 over every parameter, then buffer: name, then bytes."""
+    h = hashlib.sha256()
+    for tensors in (model.named_params(), model.named_buffers()):
+        for name, arr in tensors.items():
+            h.update(name.encode())
+            h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestSeededWeights:
+    # Initial weights come from numpy's Generator alone, with no BLAS call, so
+    # these hold on any machine; a change that moves them moves every run.
+    @pytest.mark.parametrize("profile, digest", [
+        (desk_profile, "630562b8a366cacc"),
+        (paper_profile, "ae427ccf16d02070"),
+    ], ids=["desk", "paper"])
+    def test_seed_1_weights_are_pinned(self, profile, digest):
+        assert _state_digest(build_model(profile(), seed=1)) == digest
 
 
 class TestModelForward:
@@ -197,6 +243,22 @@ class TestModelForward:
         model = build_model(desk_profile(), seed=0)
         with pytest.raises(ShapeError):
             model.forward_segment(np.zeros((100, 271)))
+
+    def test_passes_take_read_only_arrays(self):
+        # no forward writes into its input, so no pass writes into the caller's arrays
+        cfg = desk_profile()
+        model = build_model(cfg, seed=7)
+        xs = np.random.default_rng(9).standard_normal(
+            (2, cfg.frames_per_segment, cfg.frame_length))
+        labels = np.array([2, 0])
+        xs.setflags(write=False)
+        labels.setflags(write=False)
+        model.forward_batch(xs, train=True)
+        model.forward_batch(xs)
+        model.predict_batch(xs)
+        model.loss_and_grads(xs, labels)
+        model.extract_features(xs[0])
+        model.forward_segment(xs[0])
 
     def test_zero_segments_rejected(self):
         model = build_model(desk_profile(), seed=0)

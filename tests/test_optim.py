@@ -7,13 +7,8 @@ from atcnn.audio import default_synth_spec, frame_segment, split_dataset, synth_
 from atcnn.errors import InvalidLabelError, ShapeError
 from atcnn.layers import BatchNorm, Flatten, Linear, Network, ReLU
 from atcnn.model import build_model, desk_profile, paper_profile
-from atcnn.optim import (
-    RmsProp,
-    cross_entropy,
-    gradient_check,
-    stack_dataset,
-    train,
-)
+from atcnn.optim import RmsProp, gradient_check, stack_dataset, train, train_epoch
+from atcnn.reference import cross_entropy
 
 
 class TestCrossEntropy:
@@ -178,6 +173,14 @@ class TestTraining:
             stats = train(model, xs, ys, txs, tys, seed=3)
             runs.append([(s.loss, s.train_accuracy, s.eval_accuracy) for s in stats])
         assert runs[0] == runs[1]
+
+    def test_epoch_takes_read_only_arrays(self):
+        cfg, (xs, ys), (txs, tys) = _tiny_desk_dataset(counts=(2, 2, 2))
+        for a in (xs, ys, txs, tys):
+            a.setflags(write=False)
+        model = build_model(cfg, seed=4)
+        optimizer = RmsProp(model.named_params(), learning_rate=cfg.learning_rate)
+        train_epoch(model, optimizer, xs, ys, txs, tys, epoch=1, batch_size=4, seed=4)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
