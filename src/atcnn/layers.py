@@ -8,9 +8,11 @@ weights come from one initialiser, `Layer._init_weight`; a train-mode
 forward leaves one cache that backward takes with `_take_cache`, so a
 second backward without a new train-mode forward raises `StateError`, in
 the softmax head (which caches its probabilities) as in every layer.
-Eval-mode forwards are pure and cache nothing. No forward writes into its
-input or a cache: a bias is added in place only into the layer's own fresh
-GEMM or einsum result. What train mode caches:
+Eval-mode forwards cache nothing. A layer writes into its input or its
+incoming gradient only when the caller hands that array over as owned, and
+only `Sequential`'s walk does (the rule is in `Layer`): then `BatchNorm`
+centres in place and `ReLU` rectifies and masks in place. A direct call
+never writes into its arguments. What train mode caches:
 - `Conv1d`, `DilatedConv2d`: the input `x`, not the patch matrix, which is
   up to kernel-size times larger; backward lowers `x` again with
   `im2col_batch`.
@@ -21,9 +23,13 @@ GEMM or einsum result. What train mode caches:
   block.
 
 `Conv1d` and `DilatedConv2d` are one operation with two geometries: both
-subclass `Im2colConv`, which lowers a valid convolution to one GEMM over
+subclass `Im2colConv`, which lowers a valid convolution to a GEMM over
 patch columns (Chellapilla et al. 2006) given its `(kernel, strides,
-dilations)`, and keep only a constructor that sets that geometry.
+dilations)`, and keep only a constructor that sets that geometry. The batch
+is lowered in chunks of whole `_weight_grad` fold groups whose patch matrix
+stays near `LOWERING_BYTES`, so no whole-batch patch matrix is ever held;
+each sample still gets the same GEMM calls, so the bits do not depend on
+the chunking.
 
 Backward returns the input gradient as a C-contiguous array (the next
 layer's reductions sum in memory order) and stores parameter gradients on
@@ -60,6 +66,12 @@ PROB_CLAMP = 1e-12
 # this many columns: below it, the per-call cost of a small GEMM outweighs
 # copying the folded samples.
 GEMM_MIN_COLUMNS = 512
+# `Im2colConv` lowers as many whole fold groups at a time as keep the patch
+# matrix near this size (at least one group). A whole-batch patch matrix set
+# the paper profile's training peak (158 MB for `dilated.1` at B=2), while
+# one lowering per fold group costs an `im2col_batch` call per group, which
+# slows the small desk layers; at this bound every desk lowering is one chunk.
+LOWERING_BYTES = 16 * 2**20
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -70,19 +82,38 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _weight_grad(grad: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Sum over the batch of ``grad[b] @ cols[b].T``: [B, O, L], [B, J, L] -> [O, J].
+def _fold(length: int) -> int:
+    """Samples of `length` output positions that `_weight_grad` folds into one GEMM."""
+    return max(1, GEMM_MIN_COLUMNS // length)
+
+
+def _chunks(batch: int, rows: int, positions: int) -> list[slice]:
+    """Consecutive slices of the batch, each of whole `_fold(positions)` groups: as
+    many groups as keep a [n, rows, positions] patch matrix within LOWERING_BYTES,
+    and at least one."""
+    fold = _fold(positions)
+    group_bytes = fold * rows * positions * np.dtype(FLOAT).itemsize
+    step = fold * max(1, LOWERING_BYTES // group_bytes)
+    return [slice(s, s + step) for s in range(0, batch, step)]
+
+
+def _weight_grad(grad: np.ndarray, cols: np.ndarray, out: np.ndarray | None = None):
+    """Add the sum over the batch of ``grad[b] @ cols[b].T`` to `out` (zeros when None)
+    and return it: [B, O, L], [B, J, L] -> [O, J].
 
     Every product is a plain 2-D GEMM, so BLAS reads `cols` transposed in
     place. A sample with L >= GEMM_MIN_COLUMNS is one GEMM on views and
-    copies nothing; shorter samples are folded k = GEMM_MIN_COLUMNS // L at
-    a time into one GEMM over copied [O, k*L] and [J, k*L] chunks. The
-    summation order is fixed by the shapes alone, so results repeat bitwise.
+    copies nothing; shorter samples are folded k = `_fold(L)` at a time into
+    one GEMM over copied [O, k*L] and [J, k*L] chunks. The summation order is
+    fixed by the shapes alone, so results repeat bitwise, and a batch passed
+    in consecutive slices of whole fold groups, each added to the same
+    `out`, sums in the same order as the whole batch.
     """
     b, o, length = grad.shape
     j = cols.shape[1]
-    fold = max(1, GEMM_MIN_COLUMNS // length)
-    out = np.zeros((o, j), dtype=FLOAT)
+    fold = _fold(length)
+    if out is None:
+        out = np.zeros((o, j), dtype=FLOAT)
     for s in range(0, b, fold):
         g = grad[s : s + fold].transpose(1, 0, 2).reshape(o, -1)
         c = cols[s : s + fold].transpose(1, 0, 2).reshape(j, -1)
@@ -91,7 +122,18 @@ def _weight_grad(grad: np.ndarray, cols: np.ndarray) -> np.ndarray:
 
 
 class Layer:
-    """Base of every layer and the head; the module docstring states the contract."""
+    """Base of every layer and the head; the module docstring states the contract.
+
+    Ownership: ``forward(x, train, owned)`` and ``backward(grad, owned)`` may
+    overwrite `x` or `grad` only when `owned` is true, which says that nobody
+    else reads that array again; a direct call leaves it false. No layer
+    keeps a reference to what it returns, so `Sequential`'s walk owns every
+    array a layer returns that shares no memory with the array it was
+    handed, and hands it on as owned. It never owns the walk's own input,
+    and it owns an output that may share memory with its input (the view
+    that `Flatten` returns, or an array written in place) only if it owned
+    that input.
+    """
 
     param_names: tuple[str, ...] = ()
     buffer_names: tuple[str, ...] = ()
@@ -107,10 +149,10 @@ class Layer:
     def named_buffers(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in self.buffer_names}
 
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = False, owned: bool = False) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, owned: bool = False) -> np.ndarray:
         raise NotImplementedError
 
     def activation_signature(self):
@@ -154,30 +196,35 @@ class Im2colConv(Layer):
                                         in_channels * taps, out_channels * taps)
         self.bias = np.zeros(out_channels, dtype=FLOAT)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         kernel, strides, dilations = self._lowering
         if x.ndim != len(kernel) + 2 or x.shape[1] != self.in_channels:
             raise ShapeError(f"{type(self).__name__} expects {len(kernel) + 2}-d input with "
                              f"{self.in_channels} channels on axis 1, got {x.shape}")
         out = tuple(map(conv_output_length, x.shape[2:], kernel, strides, dilations))
-        cols = im2col_batch(x, kernel, strides, dilations)
-        y = np.matmul(self.weight.reshape(self.out_channels, -1), cols)
+        w = self.weight.reshape(self.out_channels, -1)
+        y = np.empty((x.shape[0], self.out_channels, math.prod(out)), dtype=FLOAT)
+        for part in _chunks(x.shape[0], w.shape[1], y.shape[2]):
+            np.matmul(w, im2col_batch(x[part], *self._lowering), out=y[part])
         y += self.bias[:, None]
         self._cache = x if train else None
         return y.reshape((x.shape[0], self.out_channels) + out)
 
-    def backward(self, grad, input_grad=True):
+    def backward(self, grad, input_grad=True, owned=False):
         """``input_grad=False`` skips the input gradient and returns None."""
         x = self._take_cache()
         g_mat = grad.reshape(grad.shape[0], self.out_channels, -1)
-        cols = im2col_batch(x, *self._lowering)
-        self.grad_weight = _weight_grad(g_mat, cols).reshape(self.weight.shape)
-        del cols  # free the patch matrix before dcols, which is as large, is made
+        w = self.weight.reshape(self.out_channels, -1)
+        grad_weight = np.zeros(w.shape, dtype=FLOAT)
+        dx = np.empty(x.shape, dtype=FLOAT) if input_grad else None
+        for part in _chunks(x.shape[0], w.shape[1], g_mat.shape[2]):
+            _weight_grad(g_mat[part], im2col_batch(x[part], *self._lowering), grad_weight)
+            if input_grad:
+                dx[part] = col2im_batch(np.matmul(w.T, g_mat[part]), dx[part].shape,
+                                        *self._lowering)
+        self.grad_weight = grad_weight.reshape(self.weight.shape)
         self.grad_bias = g_mat.sum(axis=(0, 2))
-        if not input_grad:
-            return None
-        dcols = np.matmul(self.weight.reshape(self.out_channels, -1).T, g_mat)
-        return col2im_batch(dcols, x.shape, *self._lowering)
+        return dx
 
 
 class Conv1d(Im2colConv):
@@ -203,7 +250,7 @@ class DepthwiseConv1d(Layer):
         self.kernels = self._init_weight(rng, (channels, kernel), kernel, kernel)
         self.bias = np.zeros(channels, dtype=FLOAT)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         if x.ndim != 3 or x.shape[1] != self.channels:
             raise ShapeError(f"DepthwiseConv1d expects [B, {self.channels}, L], got {x.shape}")
         conv_output_length(x.shape[2], self.kernel, self.stride)
@@ -213,7 +260,7 @@ class DepthwiseConv1d(Layer):
         self._cache = (x.shape, windows) if train else None
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, owned=False):
         x_shape, windows = self._take_cache()
         self.grad_kernels = np.einsum("bclk,bcl->ck", windows, grad)
         self.grad_bias = grad.sum(axis=(0, 2))
@@ -244,7 +291,7 @@ class PointwiseConv(Layer):
                                          in_channels, out_channels)
         self.bias = np.zeros(out_channels, dtype=FLOAT)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ShapeError(f"PointwiseConv expects [B, {self.in_channels}, L], got {x.shape}")
         y = np.matmul(self.weights, x)
@@ -252,7 +299,7 @@ class PointwiseConv(Layer):
         self._cache = x if train else None
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, owned=False):
         x = self._take_cache()
         self.grad_weights = _weight_grad(grad, x)
         self.grad_bias = grad.sum(axis=(0, 2))
@@ -285,7 +332,7 @@ class BatchNorm(Layer):
     def _bshape(self, ndim):
         return (1, self.channels) + (1,) * (ndim - 2)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         if x.ndim < 2 or x.shape[1] != self.channels:
             raise ShapeError(f"BatchNorm expects channel axis 1 == {self.channels}, got {x.shape}")
         bshape = self._bshape(x.ndim)
@@ -293,7 +340,7 @@ class BatchNorm(Layer):
         if train:
             m = x.size // self.channels
             mu = x.mean(axis=axes)
-            xm = x - mu.reshape(bshape)
+            xm = np.subtract(x, mu.reshape(bshape), out=x if owned else None)
             y = xm * xm
             var = y.sum(axis=axes) / m  # the steps np.var takes, so the same bits
             mask = var > VAR_FLOOR
@@ -305,13 +352,13 @@ class BatchNorm(Layer):
             self._cache = (xm, inv, mask, m, axes)
         else:
             inv = 1.0 / np.sqrt(np.maximum(self.running_var, VAR_FLOOR) + self.epsilon)
-            y = x - self.running_mean.reshape(bshape)
+            y = np.subtract(x, self.running_mean.reshape(bshape), out=x if owned else None)
             y *= inv.reshape(bshape)
             self._cache = None
         np.multiply(self.gamma.reshape(bshape), y, out=y)
         return np.add(y, self.beta.reshape(bshape), out=y)
 
-    def backward(self, grad):
+    def backward(self, grad, owned=False):
         xm, inv, mask, m, axes = self._take_cache()
         bshape = self._bshape(grad.ndim)
         inv_b = inv.reshape(bshape)
@@ -319,7 +366,7 @@ class BatchNorm(Layer):
         np.multiply(grad, tmp, out=tmp)
         self.grad_gamma = tmp.sum(axis=axes)
         self.grad_beta = grad.sum(axis=axes)
-        dxhat = grad * self.gamma.reshape(bshape)
+        dxhat = np.multiply(grad, self.gamma.reshape(bshape), out=grad if owned else None)
         np.multiply(dxhat, xm, out=tmp)
         # d/dvar through the floor is zero on floored (near-constant) channels
         dvar = tmp.sum(axis=axes) * (-0.5) * inv**3 * mask
@@ -333,13 +380,14 @@ class BatchNorm(Layer):
 
 
 class ReLU(Layer):
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         self._cache = (x > 0) if train else None
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0, out=x if owned else None)
 
-    def backward(self, grad):
+    def backward(self, grad, owned=False):
         mask = self._take_cache()
-        return grad * mask  # derivative at exactly 0 is 0
+        # the derivative at exactly 0 is 0
+        return np.multiply(grad, mask, out=grad if owned else None)
 
     def activation_signature(self):
         return None if self._cache is None else hash(self._cache.tobytes())
@@ -373,7 +421,7 @@ class Pool2d(Layer):
             raise ValueError(f"pool kind must be 'max' or 'avg', got {kind!r}")
         self.kind = kind
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         if x.ndim != 4:
             raise ShapeError(f"Pool2d expects [B, C, H, W], got {x.shape}")
         h, w = x.shape[2:]
@@ -397,7 +445,7 @@ class Pool2d(Layer):
         self._cache = (x.shape, idx) if train else None
         return y
 
-    def backward(self, grad):
+    def backward(self, grad, owned=False):
         x_shape, idx = self._take_cache()
         h2, w2 = x_shape[2] // 2, x_shape[3] // 2
         dx = np.zeros(x_shape, dtype=FLOAT)
@@ -416,11 +464,11 @@ class Pool2d(Layer):
 
 
 class Flatten(Layer):
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         self._cache = x.shape if train else None
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad):
+    def backward(self, grad, owned=False):
         return grad.reshape(self._take_cache())
 
 
@@ -430,7 +478,7 @@ class Integration(Flatten):
     def __init__(self, frames: int):
         self.frames = frames
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         self._cache = x.shape if train else None
         return x.reshape(-1, 1, self.frames, x.shape[1] * x.shape[2])
 
@@ -446,13 +494,13 @@ class Linear(Layer):
                                         in_features, out_features)
         self.bias = np.zeros(out_features, dtype=FLOAT)
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise ShapeError(f"Linear expects [B, {self.in_features}], got {x.shape}")
         self._cache = x if train else None
         return x @ self.weight.T + self.bias
 
-    def backward(self, grad):
+    def backward(self, grad, owned=False):
         x = self._take_cache()
         self.grad_weight = grad.T @ x
         self.grad_bias = grad.sum(axis=0)
@@ -486,6 +534,12 @@ class SoftmaxCrossEntropy(Layer):
         return d / b
 
 
+def _owns(owned: bool, given: np.ndarray, returned: np.ndarray) -> bool:
+    """Whether a walk owns what a layer `returned` for `given`: always when it
+    shares no memory with `given`, else only if the walk owned `given`."""
+    return owned or not np.may_share_memory(given, returned)
+
+
 class Sequential(Layer):
     """Ordered layer stack; parameter names are '<name>.<param>', names defaulting to indices."""
 
@@ -506,22 +560,28 @@ class Sequential(Layer):
     def named_buffers(self):
         return self._merged("named_buffers")
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, owned=False):
+        """The layers in order, each handed its input as owned by the rule in `Layer`."""
         for layer in self.layers:
-            x = layer.forward(x, train=train)
+            y = layer.forward(x, train=train, owned=owned)
+            x, owned = y, _owns(owned, x, y)
         return x
 
-    def backward(self, grad, input_grad=True):
-        """Backpropagate through every layer; ``input_grad=False`` has the first
-        layer skip its input gradient and returns None. Only `Im2colConv` and
-        `Sequential` take ``input_grad``, so with ``input_grad=False`` the
-        first layer must be one of them. `Model.backward` passes it to the
-        extractor, so the layer plan rejects an extractor that does not
-        start with a standard 'conv' (a `Conv1d`)."""
+    def backward(self, grad, input_grad=True, owned=False):
+        """Backpropagate through every layer, handing each its gradient as owned by
+        the rule in `Layer`; ``input_grad=False`` has the first layer skip its
+        input gradient and returns None. Only `Im2colConv` and `Sequential`
+        take ``input_grad``, so with ``input_grad=False`` the first layer must
+        be one of them. `Model.backward` passes it to the extractor, so the
+        layer plan rejects an extractor that does not start with a standard
+        'conv' (a `Conv1d`)."""
         for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
+            g = layer.backward(grad, owned=owned)
+            grad, owned = g, _owns(owned, grad, g)
         first = self.layers[0]
-        return first.backward(grad) if input_grad else first.backward(grad, input_grad=False)
+        if input_grad:
+            return first.backward(grad, owned=owned)
+        return first.backward(grad, input_grad=False, owned=owned)
 
     def activation_signature(self):
         """Hash of all cached ReLU masks and max-pool argmax indices.

@@ -21,6 +21,13 @@ holds is used, and ``BLAS_PINNED_BY`` records it:
 Each route reads the thread count back and holds only if it is 1. If no
 route holds, the import raises `BlasPinningError` rather than run with
 results that depend on the BLAS thread environment.
+
+``BLAS_CORE`` names the kernel set the BLAS picked for this CPU when it
+loaded (OpenBLAS's core name, such as ``SkylakeX``), read once beside the
+pin through the same route: threadpoolctl's ``architecture`` field, else
+each loaded OpenBLAS's ``get_corename`` entry point. Runs repeat bitwise
+on one kernel set; another one (``OPENBLAS_CORETYPE=Haswell`` forces one)
+gives other bits.
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ _OPENBLAS_THREAD_SYMBOLS = (
     ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
+# The entry points that name the kernel set, for the same three builds.
+_OPENBLAS_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                              "openblas_get_corename")
 
 
 def _loaded_openblas_libraries() -> list[str]:
@@ -96,7 +106,31 @@ def _pin_blas_to_one_thread() -> str:
     )
 
 
+def _blas_core() -> str:
+    """The BLAS kernel set's name (several joined by ', '), or 'unknown'."""
+    try:
+        from threadpoolctl import threadpool_info
+    except ImportError:
+        names = []
+    else:
+        names = [m.get("architecture") for m in threadpool_info() if m["user_api"] == "blas"]
+    if not any(names):
+        try:
+            libraries = _loaded_openblas_libraries()
+        except OSError:
+            libraries = []
+        for path in libraries:
+            lib = ctypes.CDLL(path)
+            symbol = next((s for s in _OPENBLAS_CORENAME_SYMBOLS if hasattr(lib, s)), None)
+            if symbol is not None:
+                corename = getattr(lib, symbol)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                names.append(corename().decode())
+    return ", ".join(sorted({name for name in names if name})) or "unknown"
+
+
 BLAS_PINNED_BY = _pin_blas_to_one_thread()
+BLAS_CORE = _blas_core()
 
 FLOAT = np.float64
 

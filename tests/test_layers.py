@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -15,17 +16,21 @@ from atcnn.layers import (
     DepthwiseConv1d,
     DilatedConv2d,
     Flatten,
+    Im2colConv,
+    Integration,
     Linear,
     Network,
     Pool2d,
     PointwiseConv,
     ReLU,
+    Sequential,
     SoftmaxCrossEntropy,
+    _weight_grad,
     softmax,
 )
-from atcnn.model import build_model, desk_profile
-from atcnn.optim import gradient_check
-from atcnn.tensor_ops import FLOAT, im2col_batch
+from atcnn.model import build_model, desk_profile, paper_profile
+from atcnn.optim import RmsProp, gradient_check
+from atcnn.tensor_ops import FLOAT, col2im_batch, conv_output_length, im2col_batch
 
 RNG = np.random.default_rng(42)
 
@@ -492,8 +497,80 @@ class TestWaveformGradientSkipped:
             assert np.array_equal(v, grads[k]), k
 
 
+class TestOwnershipStaysInTheWalk:
+    """`Sequential` hands a layer ownership only of arrays its own layers made: never
+    the caller's input or gradient, nor a view of them (`Flatten`, `Integration`)."""
+
+    STACKS = {
+        "flatten_relu": (lambda: [Flatten(), ReLU()], (3, 2, 4)),
+        "integration_batchnorm_relu": (lambda: [Integration(2), BatchNorm(1), ReLU()],
+                                       (4, 2, 3)),
+        "batchnorm_relu_flatten": (lambda: [BatchNorm(2), ReLU(), Flatten()], (3, 2, 4)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STACKS))
+    def test_read_only_input_and_gradient_pass_through(self, name):
+        factory, shape = self.STACKS[name]
+        rng = np.random.default_rng(60)
+        x = rng.standard_normal(shape)
+        x.setflags(write=False)
+        walked, direct = Sequential(factory()), factory()
+        y = walked.forward(x, train=True)
+        grad = rng.standard_normal(y.shape)
+        grad.setflags(write=False)
+        dx = walked.backward(grad)
+        y_direct = x
+        for layer in direct:
+            y_direct = layer.forward(y_direct, train=True)
+        dx_direct = grad
+        for layer in reversed(direct):
+            dx_direct = layer.backward(dx_direct)
+        assert_bitwise(y, y_direct, "y")
+        assert_bitwise(dx, dx_direct, "dx")
+
+    def test_network_takes_read_only_input(self):
+        x = np.random.default_rng(61).standard_normal((3, 2, 4))
+        x.setflags(write=False)
+        net = Network([Flatten(), ReLU()])
+        net.forward_batch(x)
+        value, probs, _ = net.loss_and_grads(x, np.array([0, 7, 3]))
+        assert np.isfinite(value) and probs.shape == (3, 8)
+
+    def test_walk_allocates_an_output_fewer_than_direct_calls(self):
+        x = np.random.default_rng(63).standard_normal((4, 2, 20000))
+        grad = np.random.default_rng(64).standard_normal((4, 8, 19998))  # one output's size
+
+        def walked(layers):
+            stack = Sequential(layers)
+            stack.forward(x, train=True)
+            return stack.backward(grad)
+
+        def direct(layers):
+            y, g = x, grad
+            for layer in layers:
+                y = layer.forward(y, train=True)
+            del y  # as the walk drops its output
+            for layer in reversed(layers):
+                g = layer.backward(g)
+            return g
+
+        peaks, results = [], []
+        for run in (walked, direct):
+            layers = [Conv1d(2, 8, 3, 1, rng=np.random.default_rng(62)), BatchNorm(8), ReLU()]
+            tracemalloc.start()
+            try:
+                results.append(run(layers))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert_bitwise(results[0], results[1], "dx")
+        # one output fewer, less the few kB of Python objects the walk's own frames take
+        assert peaks[1] - peaks[0] > 0.99 * grad.nbytes, peaks
+
+
 # -- Oracles: BatchNorm, Pool2d and the depthwise backward as they were before
-# the in-place and strided-view rewrites. The layers must match them bitwise.
+# the in-place and strided-view rewrites, and the convolutions as they were
+# before chunked lowering. The layers must match them bitwise.
 
 class OldBatchNorm(BatchNorm):
     def forward(self, x, train=False):
@@ -587,6 +664,39 @@ class OldDepthwiseConv1d(DepthwiseConv1d):
         return dx
 
 
+class OldIm2colConv(Im2colConv):
+    """Whole-batch lowering: one patch matrix for the batch, in forward and in backward."""
+
+    def forward(self, x, train=False, owned=False):
+        kernel, strides, dilations = self._lowering
+        out = tuple(map(conv_output_length, x.shape[2:], kernel, strides, dilations))
+        cols = im2col_batch(x, kernel, strides, dilations)
+        y = np.matmul(self.weight.reshape(self.out_channels, -1), cols)
+        y += self.bias[:, None]
+        self._cache = x if train else None
+        return y.reshape((x.shape[0], self.out_channels) + out)
+
+    def backward(self, grad, input_grad=True, owned=False):
+        x = self._take_cache()
+        g_mat = grad.reshape(grad.shape[0], self.out_channels, -1)
+        cols = im2col_batch(x, *self._lowering)
+        self.grad_weight = _weight_grad(g_mat, cols).reshape(self.weight.shape)
+        del cols
+        self.grad_bias = g_mat.sum(axis=(0, 2))
+        if not input_grad:
+            return None
+        dcols = np.matmul(self.weight.reshape(self.out_channels, -1).T, g_mat)
+        return col2im_batch(dcols, x.shape, *self._lowering)
+
+
+class OldConv1d(OldIm2colConv, Conv1d):
+    pass
+
+
+class OldDilatedConv2d(OldIm2colConv, DilatedConv2d):
+    pass
+
+
 def assert_bitwise(a, b, what=""):
     a, b = np.asarray(a, dtype=FLOAT), np.asarray(b, dtype=FLOAT)
     assert a.shape == b.shape, what
@@ -650,6 +760,76 @@ class TestBitwiseAgainstOldCode:
         grad = rng.standard_normal((l_out, 4, 3)).transpose(2, 1, 0)  # not C-contiguous
         assert not grad.flags.c_contiguous
         _pair(old, new, x, grad)
+
+
+class TestChunkedLoweringBitwise:
+    """Chunked lowering gives the bits of whole-batch lowering, also when a batch
+    splits into several chunks and the last fold group is partial. At two fold
+    groups per chunk, a middle chunk's weight gradient summed apart and then
+    added would move the bits."""
+
+    CASES = {
+        # 200 positions: fold 2, so B=9 is fold groups of 2 + 2 + 2 + 2 + 1
+        "conv1d_partial_fold": (lambda cls: cls(1, 2, 4, 1, rng=np.random.default_rng(70)),
+                                (OldConv1d, Conv1d), (9, 1, 203)),
+        # 34 x 27 = 918 positions: one sample per fold group
+        "dilated_per_sample": (lambda cls: cls(2, 3, 3, 4, 3, rng=np.random.default_rng(71)),
+                               (OldDilatedConv2d, DilatedConv2d), (5, 2, 40, 30)),
+    }
+
+    @pytest.mark.parametrize("groups", [1, 2])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_layer(self, name, groups, monkeypatch):
+        factory, (old_cls, new_cls), shape = self.CASES[name]
+        old, new = factory(old_cls), factory(new_cls)
+        rng = np.random.default_rng(72)
+        x = rng.standard_normal(shape)
+        grad = rng.standard_normal(new.forward(x).shape)
+        rows, positions = new.weight[0].size, math.prod(grad.shape[2:])
+        group_bytes = layers_module._fold(positions) * rows * positions * x.itemsize
+        monkeypatch.setattr(layers_module, "LOWERING_BYTES", groups * group_bytes)
+        assert len(layers_module._chunks(shape[0], rows, positions)) > 1
+        _pair(old, new, x, grad)
+        assert_bitwise(old.forward(x), new.forward(x), "eval y")
+        old.forward(x, train=True)
+        new.forward(x, train=True)
+        old.backward(grad, input_grad=False)
+        assert new.backward(grad, input_grad=False) is None
+        assert_bitwise(old.grad_weight, new.grad_weight, "grad_weight without dx")
+
+    @staticmethod
+    def _step_bits(profile, batch):
+        """loss, probs, grads, then parameters, running statistics and eval probs after
+        one RMSProp step, each as its uint64 view."""
+        cfg = profile()
+        model = build_model(cfg, seed=1)
+        rng = np.random.default_rng(73)
+        xs = rng.standard_normal((batch, cfg.frames_per_segment, cfg.frame_length))
+        labels = rng.integers(0, cfg.class_count, batch)
+        value, probs, grads = model.loss_and_grads(xs, labels)
+        out = {"loss": value, "probs": probs}
+        out.update({f"grad {k}": v.copy() for k, v in grads.items()})
+        RmsProp(model.named_params()).step(grads)
+        out.update({f"param {k}": v for k, v in model.named_params().items()})
+        out.update({f"buffer {k}": v for k, v in model.named_buffers().items()})
+        out["eval probs"] = model.forward_batch(xs)
+        return {k: np.asarray(v, dtype=FLOAT).view(np.uint64) for k, v in out.items()}
+
+    @pytest.mark.parametrize("lowering_bytes", [None, 1])
+    @pytest.mark.parametrize("profile, batch", [(desk_profile, 8), (paper_profile, 1)])
+    def test_train_step_and_eval(self, profile, batch, lowering_bytes, monkeypatch):
+        with monkeypatch.context() as patch:
+            # the walk hands no layer ownership, and convolutions lower whole batches
+            patch.setattr(layers_module, "_owns", lambda owned, given, returned: False)
+            patch.setattr(Im2colConv, "forward", OldIm2colConv.forward)
+            patch.setattr(Im2colConv, "backward", OldIm2colConv.backward)
+            expected = self._step_bits(profile, batch)
+        if lowering_bytes is not None:
+            monkeypatch.setattr(layers_module, "LOWERING_BYTES", lowering_bytes)
+        got = self._step_bits(profile, batch)
+        assert list(got) == list(expected)
+        for k in got:
+            assert np.array_equal(got[k], expected[k]), k
 
 
 class TestDwsFusionEquivalence:

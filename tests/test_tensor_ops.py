@@ -8,7 +8,7 @@ import pytest
 
 from atcnn import reference
 from atcnn.errors import ShapeError
-from atcnn.tensor_ops import conv_output_length, im2col_batch
+from atcnn.tensor_ops import BLAS_CORE, conv_output_length, im2col_batch
 
 
 class TestIm2col:
@@ -113,6 +113,16 @@ def test_blas_pinned_to_one_thread_under_two_thread_environment():
     probe = json.loads(proc.stdout)
     assert probe["route"] == "threadpoolctl" or probe["route"].startswith("ctypes "), probe
     assert probe["threads"] and set(probe["threads"]) == {1}, probe
+
+
+def test_blas_core_names_the_kernel_set_openblas_was_told_to_use():
+    assert BLAS_CORE and BLAS_CORE != "unknown"
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell")
+    proc = subprocess.run([sys.executable, "-c",
+                           "from atcnn import tensor_ops; print(tensor_ops.BLAS_CORE)"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "Haswell"
 
 
 _NO_ROUTE_PROBE = """
