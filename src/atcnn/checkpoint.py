@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -44,25 +45,34 @@ def _write_tensors(out: io.BufferedWriter, tensors: dict[str, np.ndarray]) -> No
 
 
 def save_checkpoint(model: Model, path, seed: int = 0, epoch: int = 0) -> None:
+    """Write `model` to `path`, replacing any old file there only once the new
+    one is whole: the bytes go to a sibling temporary file first."""
     path = Path(path)
-    with open(path, "wb") as out:
-        out.write(MAGIC)
-        out.write(struct.pack("<I", VERSION))
-        blob = json.dumps(asdict(model.config)).encode("utf-8")
-        out.write(struct.pack("<I", len(blob)))
-        out.write(blob)
-        out.write(struct.pack("<qI", seed, epoch))
-        _write_tensors(out, model.named_params())
-        _write_tensors(out, model.named_buffers())
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as out:
+            out.write(MAGIC)
+            out.write(struct.pack("<I", VERSION))
+            blob = json.dumps(asdict(model.config)).encode("utf-8")
+            out.write(struct.pack("<I", len(blob)))
+            out.write(blob)
+            out.write(struct.pack("<qI", seed, epoch))
+            _write_tensors(out, model.named_params())
+            _write_tensors(out, model.named_buffers())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
     def __init__(self, data: bytes, path):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
+        """The next `n` bytes, as a view into the file's bytes (no copy)."""
         if self.pos + n > len(self.data):
             raise CheckpointError(f"{self.path}: truncated checkpoint "
                                   f"(wanted {n} bytes at offset {self.pos})")
@@ -75,16 +85,16 @@ class _Reader:
 
 
 def _read_tensors(r: _Reader) -> dict[str, np.ndarray]:
+    """Name -> read-only view of each stored tensor in the file's bytes."""
     (count,) = r.unpack("<I")
     out = {}
     for _ in range(count):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = str(r.take(name_len), "utf-8")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}I")
         size = int(np.prod(shape))
-        arr = np.frombuffer(r.take(size * 8), dtype=FLOAT).reshape(shape).copy()
-        out[name] = arr
+        out[name] = np.frombuffer(r.take(size * 8), dtype=FLOAT).reshape(shape)
     return out
 
 
@@ -105,7 +115,7 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (blob_len,) = r.unpack("<I")
     try:
-        config = _config_from_dict(json.loads(r.take(blob_len).decode("utf-8")))
+        config = _config_from_dict(json.loads(str(r.take(blob_len), "utf-8")))
     except (ValueError, TypeError, KeyError) as exc:
         raise CheckpointError(f"{path}: unreadable config block: {exc}") from exc
     seed, epoch = r.unpack("<qI")

@@ -1,4 +1,5 @@
-"""Float64 convolution lowering (im2col and its adjoint) and BLAS pinning.
+"""Float64 convolution lowering (im2col and its adjoint), BLAS pinning and
+the allocator's thresholds.
 
 Tensors are plain ``numpy.ndarray`` objects of dtype `FLOAT` (float64).
 `conv_output_length` is the valid-convolution extent formula that the
@@ -23,11 +24,22 @@ route holds, the import raises `BlasPinningError` rather than run with
 results that depend on the BLAS thread environment.
 
 ``BLAS_CORE`` names the kernel set the BLAS picked for this CPU when it
-loaded (OpenBLAS's core name, such as ``SkylakeX``), read once beside the
-pin through the same route: threadpoolctl's ``architecture`` field, else
-each loaded OpenBLAS's ``get_corename`` entry point. Runs repeat bitwise
-on one kernel set; another one (``OPENBLAS_CORETYPE=Haswell`` forces one)
-gives other bits.
+loaded (OpenBLAS's core name, such as ``SkylakeX``), read in the same walk
+as the pin: threadpoolctl's ``architecture`` field, or each pinned
+OpenBLAS's ``get_corename`` entry point. Runs repeat bitwise on one kernel
+set; another one (``OPENBLAS_CORETYPE=Haswell`` forces one) gives other
+bits.
+
+The import also fixes glibc's malloc thresholds through ``mallopt``:
+blocks from `MMAP_THRESHOLD` (4 MiB) up get their own mapping, which goes
+back to the OS when numpy frees the array, and free memory at the top of
+the heap beyond `TRIM_THRESHOLD` (8 MiB) is returned too. Left alone, glibc
+raises its mmap threshold to the size of each mapped block that is freed,
+up to 32 MiB, so after the first training step the many 4–32 MiB
+temporaries of a step are carved from the heap, where freed pages stay
+resident and peak RSS climbs step after step. ``MALLOC_TUNED_BY`` records
+the route, or why it was not applied: off glibc the setting is skipped,
+never an error, since the allocator moves no result bits.
 """
 
 from __future__ import annotations
@@ -52,6 +64,41 @@ _OPENBLAS_THREAD_SYMBOLS = (
 _OPENBLAS_CORENAME_SYMBOLS = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
                               "openblas_get_corename")
 
+# glibc's mallopt(3) parameter numbers, from <malloc.h>.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+# Arrays from 4 MiB up get their own mapping; numpy asks for huge pages from this size up.
+MMAP_THRESHOLD = 4 << 20
+# Twice the mmap threshold, the ratio glibc keeps between the two when it adjusts them.
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+
+
+def _tune_malloc(libc) -> str:
+    """Fix glibc's mmap and trim thresholds in `libc`; return the route or why not.
+
+    Setting either threshold stops glibc adjusting both, so both are set.
+    Never raises: without glibc's ``mallopt`` the result names what was missing.
+    """
+    version = getattr(libc, "gnu_get_libc_version", None)
+    mallopt = getattr(libc, "mallopt", None)
+    if version is None or mallopt is None:
+        return "not applied: the C library has no glibc mallopt"
+    version.argtypes, version.restype = [], ctypes.c_char_p
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for name, param, value in (("M_MMAP_THRESHOLD", _M_MMAP_THRESHOLD, MMAP_THRESHOLD),
+                               ("M_TRIM_THRESHOLD", _M_TRIM_THRESHOLD, TRIM_THRESHOLD)):
+        if mallopt(param, value) != 1:
+            return f"not applied: glibc mallopt({name}, {value}) failed"
+    return (f"glibc {version().decode()} mallopt: M_MMAP_THRESHOLD={MMAP_THRESHOLD >> 20} MiB, "
+            f"M_TRIM_THRESHOLD={TRIM_THRESHOLD >> 20} MiB")
+
+
+def _c_library():
+    """The C library this process runs on, or None where ctypes cannot open it."""
+    try:
+        return ctypes.CDLL(None)
+    except (OSError, TypeError):  # TypeError: Windows takes no None
+        return None
+
 
 def _loaded_openblas_libraries() -> list[str]:
     """Paths of the OpenBLAS shared libraries mapped into this process."""
@@ -60,8 +107,12 @@ def _loaded_openblas_libraries() -> list[str]:
         return sorted({f[5] for f in fields if len(f) == 6 and "openblas" in Path(f[5]).name})
 
 
-def _pin_openblas(path: str) -> str:
-    """Set the OpenBLAS library at `path` to one thread; return ``name:setter``."""
+def _pin_openblas(path: str) -> tuple[str, str | None]:
+    """Set the OpenBLAS library at `path` to one thread.
+
+    Returns ``name:setter`` and the library's kernel set name (None if it has no
+    corename entry point).
+    """
     name = Path(path).name
     lib = ctypes.CDLL(path)  # already loaded by numpy: this only takes a handle
     for setter_name, getter_name in _OPENBLAS_THREAD_SYMBOLS:
@@ -76,11 +127,21 @@ def _pin_openblas(path: str) -> str:
     threads = getter()
     if threads != 1:
         raise BlasPinningError(f"{name} reports {threads} threads after {setter_name}(1)")
-    return f"{name}:{setter_name}"
+    corename = next((getattr(lib, s) for s in _OPENBLAS_CORENAME_SYMBOLS if hasattr(lib, s)),
+                    None)
+    if corename is not None:
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        corename = corename().decode()
+    return f"{name}:{setter_name}", corename
 
 
-def _pin_blas_to_one_thread() -> str:
-    """Pin BLAS to one thread and return the route that held; raise if none did."""
+def _core_names(names) -> str:
+    return ", ".join(sorted({name for name in names if name})) or "unknown"
+
+
+def _pin_blas_to_one_thread() -> tuple[str, str]:
+    """Pin BLAS to one thread; return the route that held and the kernel set's
+    name (several joined by ', ', or 'unknown'). Raise if no route held."""
     tried = []
     try:
         from threadpoolctl import threadpool_info, threadpool_limits
@@ -88,15 +149,17 @@ def _pin_blas_to_one_thread() -> str:
         tried.append("threadpoolctl: not installed")
     else:
         threadpool_limits(limits=1, user_api="blas")
-        threads = [m["num_threads"] for m in threadpool_info() if m["user_api"] == "blas"]
+        blas = [m for m in threadpool_info() if m["user_api"] == "blas"]
+        threads = [m["num_threads"] for m in blas]
         if threads and max(threads) == 1:
-            return "threadpoolctl"
+            return "threadpoolctl", _core_names(m.get("architecture") for m in blas)
         tried.append(f"threadpoolctl: BLAS thread counts {threads} after limiting to 1")
     try:
         libraries = _loaded_openblas_libraries()
         if not libraries:
             raise BlasPinningError("no OpenBLAS library is loaded")
-        return "ctypes " + ", ".join(_pin_openblas(path) for path in libraries)
+        routes, cores = zip(*(_pin_openblas(path) for path in libraries))
+        return "ctypes " + ", ".join(routes), _core_names(cores)
     except (OSError, BlasPinningError) as exc:
         tried.append(f"ctypes: {exc}")
     raise BlasPinningError(
@@ -106,31 +169,8 @@ def _pin_blas_to_one_thread() -> str:
     )
 
 
-def _blas_core() -> str:
-    """The BLAS kernel set's name (several joined by ', '), or 'unknown'."""
-    try:
-        from threadpoolctl import threadpool_info
-    except ImportError:
-        names = []
-    else:
-        names = [m.get("architecture") for m in threadpool_info() if m["user_api"] == "blas"]
-    if not any(names):
-        try:
-            libraries = _loaded_openblas_libraries()
-        except OSError:
-            libraries = []
-        for path in libraries:
-            lib = ctypes.CDLL(path)
-            symbol = next((s for s in _OPENBLAS_CORENAME_SYMBOLS if hasattr(lib, s)), None)
-            if symbol is not None:
-                corename = getattr(lib, symbol)
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                names.append(corename().decode())
-    return ", ".join(sorted({name for name in names if name})) or "unknown"
-
-
-BLAS_PINNED_BY = _pin_blas_to_one_thread()
-BLAS_CORE = _blas_core()
+MALLOC_TUNED_BY = _tune_malloc(_c_library())
+BLAS_PINNED_BY, BLAS_CORE = _pin_blas_to_one_thread()
 
 FLOAT = np.float64
 

@@ -1,10 +1,11 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from atcnn import audio
+from atcnn import audio, checkpoint
 from atcnn.audio import default_synth_spec, write_synth_dataset
 from atcnn.checkpoint import load_checkpoint, save_checkpoint
 from atcnn.cli import main, parse_config
@@ -80,6 +81,42 @@ class TestCheckpoint:
         xs = self._random_segments(cfg, 3, seed=2)
         for x in xs:
             assert np.array_equal(model.forward_segment(x), loaded.forward_segment(x))
+
+    def test_interrupted_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        old = build_model(desk_profile(), seed=1)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(old, path, seed=1, epoch=2)
+        old_bytes = path.read_bytes()
+
+        def write_half_then_fail(out, tensors):
+            out.write(b"\0" * 1000)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checkpoint, "_write_tensors", write_half_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(build_model(desk_profile(), seed=2), path, seed=2, epoch=9)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]  # no temporary file left
+        assert path.read_bytes() == old_bytes
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"seed": 1, "epoch": 2}
+        for name, arr in old.named_params().items():
+            assert np.array_equal(loaded.named_params()[name].view(np.uint64), arr.view(np.uint64))
+
+    def test_load_copies_each_tensor_once(self, tmp_path):
+        model = build_model(desk_profile(), seed=0)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        tensor_bytes = sum(a.nbytes for part in (model.named_params(), model.named_buffers())
+                           for a in part.values())
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The file's bytes plus the model they are copied into, and no third copy
+        # of the tensors: a copy per tensor between the two would add a model's size.
+        assert peak < path.stat().st_size + 1.5 * tensor_bytes
 
     def test_truncated_file_rejected(self, tmp_path):
         model = build_model(desk_profile(), seed=0)

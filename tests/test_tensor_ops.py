@@ -1,14 +1,16 @@
 import json
 import os
+import platform
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from atcnn import reference
 from atcnn.errors import ShapeError
-from atcnn.tensor_ops import BLAS_CORE, conv_output_length, im2col_batch
+from atcnn.tensor_ops import BLAS_CORE, _tune_malloc, conv_output_length, im2col_batch
 
 
 class TestIm2col:
@@ -147,3 +149,46 @@ def test_import_fails_when_no_route_pins_blas():
     assert (module, name, is_runtime) == ("atcnn.errors", "BlasPinningError", "True"), proc.stdout
     assert "threadpoolctl: not installed" in message
     assert "ctypes: " in message
+
+
+_RSS_PROBE = """
+import json, os
+import numpy as np
+from atcnn import tensor_ops
+
+def resident_mib():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+np.ones(3 << 20).sum()  # a freed 24 MiB mapping raises glibc's own mmap threshold past 8 MiB
+before = resident_mib()
+large, small = [], []
+for _ in range(12):
+    large.append(np.ones(1 << 20))  # 8 MiB
+    small.append(np.ones(1 << 13))  # 64 KiB, lands on the heap after each large one
+held = resident_mib()
+del large
+print(json.dumps({"route": tensor_ops.MALLOC_TUNED_BY, "before": before, "held": held,
+                  "after": resident_mib()}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the thresholds are glibc's")
+def test_freed_large_arrays_go_back_to_the_os():
+    proc = subprocess.run([sys.executable, "-c", _RSS_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    assert probe["route"].startswith("glibc "), probe
+    assert probe["held"] - probe["before"] > 90, probe  # the 96 MiB were resident
+    # Interleaved with live small arrays on the heap, the large ones could not be
+    # trimmed; mapped on their own, they are unmapped when freed.
+    assert probe["after"] - probe["before"] < 16, probe
+
+
+def test_malloc_tuning_without_glibc_mallopt_is_skipped_not_raised():
+    assert _tune_malloc(None).startswith("not applied: ")
+    assert _tune_malloc(SimpleNamespace()).startswith("not applied: ")
+    refusing = SimpleNamespace(gnu_get_libc_version=lambda: b"2.99", mallopt=lambda p, v: 0)
+    assert _tune_malloc(refusing).startswith("not applied: ")
