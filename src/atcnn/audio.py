@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import FormatError, InvalidSpecError, ShapeError
-from .tensor_ops import FLOAT
+from .tensor_ops import FLOAT, heap_reuse
 
 PCM_SCALE = 32768.0
 _CONST_VAR = 1e-30  # below this a windowed frame counts as constant
@@ -313,15 +313,16 @@ def synth_dataset(spec: SynthSpec) -> list[LabeledSegment]:
     _validate_spec(spec)
     n = int(spec.duration_s * spec.sample_rate)
     out: list[LabeledSegment] = []
-    for ci, (cls, count) in enumerate(zip(spec.classes, spec.counts)):
-        for k in range(count):
-            rng = np.random.default_rng((spec.seed, ci, k))
-            out.append(LabeledSegment(
-                samples=_synth_segment(cls, rng, n, spec.sample_rate),
-                label=ci,
-                class_name=cls.name,
-                segment_id=f"{cls.name}_{k:04d}",
-            ))
+    with heap_reuse():  # each segment frees its temporaries before the next allocates them
+        for ci, (cls, count) in enumerate(zip(spec.classes, spec.counts)):
+            for k in range(count):
+                rng = np.random.default_rng((spec.seed, ci, k))
+                out.append(LabeledSegment(
+                    samples=_synth_segment(cls, rng, n, spec.sample_rate),
+                    label=ci,
+                    class_name=cls.name,
+                    segment_id=f"{cls.name}_{k:04d}",
+                ))
     return out
 
 

@@ -45,7 +45,7 @@ from .layers import (
     ReLU,
     Sequential,
 )
-from .tensor_ops import FLOAT, conv_output_length
+from .tensor_ops import FLOAT, conv_output_length, heap_reuse
 
 
 @dataclass(frozen=True)
@@ -387,11 +387,12 @@ class Model(Network):
             return super().forward_batch(xs.reshape(b * t, 1, n), train=True)
         *trunk, classifier = self.stack.layers
         rows = []
-        for segment in xs:
-            x = segment.reshape(t, 1, n)
-            for part in trunk:
-                x = part.forward(x)
-            rows.append(x)
+        with heap_reuse():  # each segment frees and reallocates the same temporaries
+            for segment in xs:
+                x = segment.reshape(t, 1, n)
+                for part in trunk:
+                    x = part.forward(x)
+                rows.append(x)
         return self.head.forward(classifier.forward(np.concatenate(rows)))
 
     def backward(self, labels: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidLabelError, ShapeError
-from .tensor_ops import FLOAT
+from .tensor_ops import FLOAT, heap_reuse
 
 
 class RmsProp:
@@ -138,8 +138,9 @@ def stack_dataset(frame_seqs) -> tuple[np.ndarray, np.ndarray]:
             raise ShapeError(f"item {i} is framed as {fs.framing}, item 0 as {framing}")
     xs = np.empty((len(frame_seqs), framing.frames_per_segment, framing.frame_length),
                   dtype=FLOAT)
-    for fs, row in zip(frame_seqs, xs):
-        fs.frame_into(row)
+    with heap_reuse():  # each row frees its temporaries before the next allocates them
+        for fs, row in zip(frame_seqs, xs):
+            fs.frame_into(row)
     return xs, labels
 
 

@@ -39,12 +39,17 @@ up to 32 MiB, so after the first training step the many 4–32 MiB
 temporaries of a step are carved from the heap, where freed pages stay
 resident and peak RSS climbs step after step. ``MALLOC_TUNED_BY`` records
 the route, or why it was not applied: off glibc the setting is skipped,
-never an error, since the allocator moves no result bits.
+never an error, since the allocator moves no result bits. Loops that free
+every large temporary before they allocate the same sizes again (an
+eval-mode forward, the synthesizer and `stack_dataset`, once per segment)
+run inside `heap_reuse`, which keeps such blocks on the heap for the loop
+and trims the heap after it.
 """
 
 from __future__ import annotations
 
 import ctypes
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Sequence
 
@@ -70,6 +75,9 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 MMAP_THRESHOLD = 4 << 20
 # Twice the mmap threshold, the ratio glibc keeps between the two when it adjusts them.
 TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+# Inside `heap_reuse`, blocks below 128 MiB come from the heap: every temporary of one
+# paper-profile segment's eval forward (the largest, a dilated.1 patch matrix, is 75 MiB).
+REUSE_MMAP_THRESHOLD = 128 << 20
 
 
 def _tune_malloc(libc) -> str:
@@ -80,10 +88,12 @@ def _tune_malloc(libc) -> str:
     """
     version = getattr(libc, "gnu_get_libc_version", None)
     mallopt = getattr(libc, "mallopt", None)
-    if version is None or mallopt is None:
-        return "not applied: the C library has no glibc mallopt"
+    trim = getattr(libc, "malloc_trim", None)
+    if version is None or mallopt is None or trim is None:
+        return "not applied: the C library has no glibc mallopt and malloc_trim"
     version.argtypes, version.restype = [], ctypes.c_char_p
     mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
     for name, param, value in (("M_MMAP_THRESHOLD", _M_MMAP_THRESHOLD, MMAP_THRESHOLD),
                                ("M_TRIM_THRESHOLD", _M_TRIM_THRESHOLD, TRIM_THRESHOLD)):
         if mallopt(param, value) != 1:
@@ -169,10 +179,37 @@ def _pin_blas_to_one_thread() -> tuple[str, str]:
     )
 
 
-MALLOC_TUNED_BY = _tune_malloc(_c_library())
+_LIBC = _c_library()
+MALLOC_TUNED_BY = _tune_malloc(_LIBC)
 BLAS_PINNED_BY, BLAS_CORE = _pin_blas_to_one_thread()
 
 FLOAT = np.float64
+
+
+@contextmanager
+def heap_reuse(libc=_LIBC if MALLOC_TUNED_BY.startswith("glibc") else None):
+    """Carve blocks below `REUSE_MMAP_THRESHOLD` from the heap while the body runs,
+    and keep the heap's free pages until it ends.
+
+    For a body that frees each large temporary before it allocates the same sizes
+    again: a heap block is reused without a page fault, where each new mapping is
+    faulted in and zeroed again (a 16-segment paper `predict_batch` took 106-138 k
+    minor faults with the import-time thresholds, 3.7 k inside this). On exit the
+    import-time thresholds return and ``malloc_trim`` hands the heap's free pages
+    back to the OS. Without glibc's tuning (`libc` None) it does nothing. Not
+    re-entrant: a nested one restores the import-time thresholds when it exits.
+    """
+    if libc is None:
+        yield
+        return
+    libc.mallopt(_M_MMAP_THRESHOLD, REUSE_MMAP_THRESHOLD)
+    libc.mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)  # the largest int: never trim
+    try:
+        yield
+    finally:
+        libc.mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+        libc.mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+        libc.malloc_trim(0)
 
 
 def conv_output_length(length: int, kernel: int, stride: int = 1, dilation: int = 1) -> int:

@@ -10,7 +10,8 @@ import pytest
 
 from atcnn import reference
 from atcnn.errors import ShapeError
-from atcnn.tensor_ops import BLAS_CORE, _tune_malloc, conv_output_length, im2col_batch
+from atcnn.tensor_ops import (BLAS_CORE, _tune_malloc, conv_output_length, heap_reuse,
+                               im2col_batch)
 
 
 class TestIm2col:
@@ -185,6 +186,56 @@ def test_freed_large_arrays_go_back_to_the_os():
     # Interleaved with live small arrays on the heap, the large ones could not be
     # trimmed; mapped on their own, they are unmapped when freed.
     assert probe["after"] - probe["before"] < 16, probe
+
+
+_REUSE_PROBE = """
+import json, os
+import numpy as np
+from atcnn import tensor_ops
+
+def resident_mib():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+def on_heap(array):
+    with open("/proc/self/maps") as maps:
+        spans = [line.split()[0] for line in maps if line.rstrip().endswith("[heap]")]
+    return any(int(lo, 16) <= array.ctypes.data < int(hi, 16)
+               for lo, hi in (span.split("-") for span in spans))
+
+before = resident_mib()
+with tensor_ops.heap_reuse():
+    for _ in range(2):
+        block = np.ones(3 << 20)  # 24 MiB
+        inside = on_heap(block)
+        del block
+    kept = resident_mib()
+trimmed = resident_mib()
+print(json.dumps({"before": before, "kept": kept, "trimmed": trimmed, "inside": inside,
+                  "after": on_heap(np.ones(1 << 20))}))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the thresholds are glibc's")
+def test_heap_reuse_keeps_freed_blocks_until_it_ends():
+    proc = subprocess.run([sys.executable, "-c", _REUSE_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout)
+    # Inside, a large block comes from the heap, and once freed it stays resident
+    # for the next one of its size...
+    assert probe["inside"], probe
+    assert 20 < probe["kept"] - probe["before"] < 40, probe
+    # ...on exit the heap is trimmed, and an 8 MiB block gets its own mapping again.
+    assert probe["trimmed"] - probe["before"] < 8, probe
+    assert not probe["after"], probe
+
+
+def test_heap_reuse_without_glibc_tuning_does_nothing():
+    with heap_reuse(None):
+        x = np.ones(3)
+    assert x.sum() == 3.0
 
 
 def test_malloc_tuning_without_glibc_mallopt_is_skipped_not_raised():
