@@ -17,7 +17,12 @@ never writes into its arguments. What train mode caches:
   up to kernel-size times larger; backward lowers `x` again with
   `im2col_batch`.
 - `BatchNorm`: the centred input `xm` and the per-channel statistics, not
-  `xhat`, which backward rebuilds as `xm * inv`.
+  `xhat`, which backward rebuilds as `xm * inv`. A BatchNorm given its conv
+  as `source` keeps the batch mean and a reference to that conv's cached
+  input instead of `xm`, and backward rebuilds `xm` with the conv's
+  `convolve` and forward's subtraction. `model._walk` does so where the conv
+  makes RECOMPUTE_RATIO times as many elements as it takes: on both
+  profiles, only at `dilated.0`, whose map is 61x (paper) its input.
 - `Pool2d`: the input shape and a uint8 winner index per output (None for
   avg). Pooling works on strided views of the four corners of each 2x2
   block.
@@ -72,6 +77,16 @@ GEMM_MIN_COLUMNS = 512
 # one lowering per fold group costs an `im2col_batch` call per group, which
 # slows the small desk layers; at this bound every desk lowering is one chunk.
 LOWERING_BYTES = 16 * 2**20
+# BatchNorm backward makes all its passes over one block of its map, near this
+# many bytes, before it moves to the next, rather than rereading the whole map
+# from memory on every pass (paper's `dilated.0` map is 78 MB at B=2). Every
+# desk-profile map is one block.
+BLOCK_BYTES = 4 * 2**20
+# `model._walk` has a BatchNorm rebuild its input from its conv in backward,
+# rather than keep it, where the conv makes at least this many times as many
+# elements as it takes: then the map costs far more memory to keep than the
+# conv's input, and little time to make again.
+RECOMPUTE_RATIO = 8
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -197,17 +212,23 @@ class Im2colConv(Layer):
         self.bias = np.zeros(out_channels, dtype=FLOAT)
 
     def forward(self, x, train=False, owned=False):
-        kernel, strides, dilations = self._lowering
+        kernel = self._lowering[0]
         if x.ndim != len(kernel) + 2 or x.shape[1] != self.in_channels:
             raise ShapeError(f"{type(self).__name__} expects {len(kernel) + 2}-d input with "
                              f"{self.in_channels} channels on axis 1, got {x.shape}")
-        out = tuple(map(conv_output_length, x.shape[2:], kernel, strides, dilations))
+        y = self.convolve(x)
+        self._cache = x if train else None
+        return y
+
+    def convolve(self, x: np.ndarray) -> np.ndarray:
+        """The output for `x`, by the calls `forward` makes; it leaves the cache as it
+        is, so a `BatchNorm` that recomputes this layer's output calls it in backward."""
+        out = tuple(map(conv_output_length, x.shape[2:], *self._lowering))
         w = self.weight.reshape(self.out_channels, -1)
         y = np.empty((x.shape[0], self.out_channels, math.prod(out)), dtype=FLOAT)
         for part in _chunks(x.shape[0], w.shape[1], y.shape[2]):
             np.matmul(w, im2col_batch(x[part], *self._lowering), out=y[part])
         y += self.bias[:, None]
-        self._cache = x if train else None
         return y.reshape((x.shape[0], self.out_channels) + out)
 
     def backward(self, grad, input_grad=True, owned=False):
@@ -315,15 +336,30 @@ class BatchNorm(Layer):
     by the running statistics. A train-mode output never reads the running
     statistics, so callers that must leave them alone (`gradient_check`)
     save and restore `named_buffers()`.
+
+    `source` is None or the `Im2colConv` whose train-mode output this layer
+    normalizes. With a source, train mode keeps the batch mean and that
+    conv's cached input, not the centred map, and backward rebuilds the map
+    with `source.convolve` and forward's subtraction, so it has the kept
+    map's bits; the source's weights must not change in between.
+    `model._walk` gives a BatchNorm its conv as source where the conv makes
+    at least RECOMPUTE_RATIO times as many elements as it takes.
+
+    Backward makes its passes one block of the map at a time: whole
+    samples, or one sample's channels, near BLOCK_BYTES (a map within it is
+    one block). It sums each (sample, channel) row, then the rows in sample
+    order, as numpy sums a whole map, so blocking leaves the bits alone.
     """
 
     param_names = ("gamma", "beta")
     buffer_names = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.9):
+    def __init__(self, channels: int, epsilon: float = 1e-5, momentum: float = 0.9,
+                 source: Im2colConv | None = None):
         self.channels = channels
         self.epsilon = epsilon
         self.momentum = momentum
+        self.source = source
         self.gamma = np.ones(channels, dtype=FLOAT)
         self.beta = np.zeros(channels, dtype=FLOAT)
         self.running_mean = np.zeros(channels, dtype=FLOAT)
@@ -338,6 +374,9 @@ class BatchNorm(Layer):
         bshape = self._bshape(x.ndim)
         axes = (0,) + tuple(range(2, x.ndim))
         if train:
+            if self.source is not None and self.source._cache is None:
+                raise StateError("BatchNorm recomputes its input from a conv that has no "
+                                 "train-mode forward to backpropagate")
             m = x.size // self.channels
             mu = x.mean(axis=axes)
             xm = np.subtract(x, mu.reshape(bshape), out=x if owned else None)
@@ -349,7 +388,8 @@ class BatchNorm(Layer):
             np.multiply(xm, inv.reshape(bshape), out=y)  # xhat
             self.running_mean[:] = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var[:] = self.momentum * self.running_var + (1 - self.momentum) * var
-            self._cache = (xm, inv, mask, m, axes)
+            kept = xm if self.source is None else (self.source._cache, mu)
+            self._cache = (kept, inv, mask, m)
         else:
             inv = 1.0 / np.sqrt(np.maximum(self.running_var, VAR_FLOOR) + self.epsilon)
             y = np.subtract(x, self.running_mean.reshape(bshape), out=x if owned else None)
@@ -359,24 +399,60 @@ class BatchNorm(Layer):
         return np.add(y, self.beta.reshape(bshape), out=y)
 
     def backward(self, grad, owned=False):
-        xm, inv, mask, m, axes = self._take_cache()
-        bshape = self._bshape(grad.ndim)
-        inv_b = inv.reshape(bshape)
-        tmp = xm * inv_b  # xhat, as forward made it
-        np.multiply(grad, tmp, out=tmp)
-        self.grad_gamma = tmp.sum(axis=axes)
-        self.grad_beta = grad.sum(axis=axes)
-        dxhat = np.multiply(grad, self.gamma.reshape(bshape), out=grad if owned else None)
-        np.multiply(dxhat, xm, out=tmp)
+        kept, inv, mask, m = self._take_cache()
+        if self.source is None:
+            xm = kept
+        else:
+            x, mu = kept
+            xm = self.source.convolve(x)
+            np.subtract(xm, mu.reshape(self._bshape(xm.ndim)), out=xm)
+        # numpy sums a C-contiguous map over (0, 2, ...) as the pairwise sum of each
+        # (sample, channel) row, added to zero in sample order; with one channel,
+        # as one row of the whole map
+        b, c = grad.shape[:2]
+        n = b if c > 1 else 1
+        xm = xm.reshape(n, c, -1)
+        g = grad.reshape(n, c, -1)
+        dx = g if owned else np.empty(g.shape, dtype=FLOAT)
+        # contiguous blocks: whole samples, or one sample's channels if it is larger
+        step = max(1, BLOCK_BYTES // g[0, 0].nbytes)  # rows per block
+        if step >= c:
+            blocks = [(slice(s, s + step // c), slice(None)) for s in range(0, n, step // c)]
+        else:
+            blocks = [(slice(s, s + 1), slice(k, k + step)) for s in range(n)
+                      for k in range(0, c, step)]
+        buf = np.empty(min(step, n * c) * g.shape[2], dtype=FLOAT)
+        inv_b, gamma_b = inv.reshape(1, c, 1), self.gamma.reshape(1, c, 1)
+        rows = np.empty((5, n, c), dtype=FLOAT)
+        for k in blocks:
+            xk, gk, dk = xm[k], g[k], dx[k]
+            tmp = buf[: xk.size].reshape(xk.shape)
+            np.multiply(xk, inv_b[:, k[1]], out=tmp)  # xhat, as forward made it
+            np.multiply(gk, tmp, out=tmp)
+            tmp.sum(axis=2, out=rows[0][k])
+            gk.sum(axis=2, out=rows[1][k])
+            np.multiply(gk, gamma_b[:, k[1]], out=dk)  # dxhat
+            np.multiply(dk, xk, out=tmp)
+            tmp.sum(axis=2, out=rows[2][k])
+            dk.sum(axis=2, out=rows[3][k])
+            xk.sum(axis=2, out=rows[4][k])
+        # in sample order: numpy loops over the c > 1 channels innermost, so it adds
+        # whole samples one after another rather than pairwise
+        self.grad_gamma, self.grad_beta, dxhat_xm, dxhat_sum, xm_sum = rows.sum(axis=1)
         # d/dvar through the floor is zero on floored (near-constant) channels
-        dvar = tmp.sum(axis=axes) * (-0.5) * inv**3 * mask
-        dmu = -(dxhat.sum(axis=axes)) * inv + dvar * (-2.0 / m) * xm.sum(axis=axes)
+        dvar = dxhat_xm * (-0.5) * inv**3 * mask
+        dmu = -dxhat_sum * inv + dvar * (-2.0 / m) * xm_sum
+        two_dvar, dmu_m = dvar.reshape(1, c, 1) * 2.0, dmu.reshape(1, c, 1) / m
         # dx = (dxhat * inv + dvar * 2 * xm / m) + dmu / m, in this order, in place
-        np.multiply(dvar.reshape(bshape) * 2.0, xm, out=tmp)
-        np.divide(tmp, m, out=tmp)
-        np.multiply(dxhat, inv_b, out=dxhat)
-        np.add(dxhat, tmp, out=dxhat)
-        return np.add(dxhat, dmu.reshape(bshape) / m, out=dxhat)
+        for k in blocks:
+            xk, dk = xm[k], dx[k]
+            tmp = buf[: xk.size].reshape(xk.shape)
+            np.multiply(two_dvar[:, k[1]], xk, out=tmp)
+            np.divide(tmp, m, out=tmp)
+            np.multiply(dk, inv_b[:, k[1]], out=dk)
+            np.add(dk, tmp, out=dk)
+            np.add(dk, dmu_m[:, k[1]], out=dk)
+        return dx.reshape(grad.shape)
 
 
 class ReLU(Layer):

@@ -32,11 +32,13 @@ import numpy as np
 
 from .errors import ConfigurationError, ShapeError
 from .layers import (
+    RECOMPUTE_RATIO,
     BatchNorm,
     Conv1d,
     DepthwiseConv1d,
     DilatedConv2d,
     Flatten,
+    Im2colConv,
     Integration,
     Linear,
     Network,
@@ -191,6 +193,15 @@ def _weighted(name: str, kind: str, in_shape: tuple, out_shape: tuple, layer) ->
                       mult_adds=weight.size * positions, params=weight.size + bias.size)
 
 
+def _norm(conv, in_shape: tuple, out_shape: tuple) -> BatchNorm:
+    """The BatchNorm after `conv`, which rebuilds its input from `conv` in backward
+    where `conv` is an `Im2colConv` that makes RECOMPUTE_RATIO times as many
+    elements as it takes, or more (on both profiles, only `dilated.0`)."""
+    grows = math.prod(out_shape) >= RECOMPUTE_RATIO * math.prod(in_shape)
+    source = conv if grows and isinstance(conv, Im2colConv) else None
+    return BatchNorm(out_shape[0], source=source)
+
+
 def _walk(config: ModelConfig, rng: Optional[np.random.Generator]):
     """The layer plan and the layers it plans, from one walk over the config.
 
@@ -224,7 +235,7 @@ def _walk(config: ModelConfig, rng: Optional[np.random.Generator]):
             else:
                 raise ShapeError(f"unknown extractor layer kind {spec.kind!r}")
             entries.append(_weighted(stage, spec.kind, in_shape, (channels, length), conv))
-            extractor += [conv, BatchNorm(channels), ReLU()]
+            extractor += [conv, _norm(conv, in_shape, (channels, length)), ReLU()]
 
         stage, t, f = "features", config.frames_per_segment, config.feature_length
         if channels * length != f:
@@ -242,7 +253,7 @@ def _walk(config: ModelConfig, rng: Optional[np.random.Generator]):
                                  block.dilation, rng=rng)
             c = block.out_channels
             entries.append(_weighted(stage, "dconv", in_shape, (c, h, w), conv))
-            dilated += [conv, BatchNorm(c), ReLU()]
+            dilated += [conv, _norm(conv, in_shape, (c, h, w)), ReLU()]
             if block.pool is not None:
                 stage, in_shape = f"{stage}.pool", (c, h, w)
                 if h < 2 or w < 2:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from atcnn import layers as layers_module
+from atcnn import model as model_module
 from atcnn import reference
 from atcnn.errors import ShapeError, StateError
 from atcnn.layers import (
@@ -413,6 +414,22 @@ class TestCacheContract:
         # the centred input xm; backward rebuilds xhat = xm * inv from it
         assert x.nbytes <= retained - y.nbytes < 1.5 * x.nbytes
 
+    def test_owned_batchnorm_backward_allocates_under_a_quarter_of_the_map(self):
+        shape = (2, 64, 776, 98)  # paper's dilated.0 map at B=2, 78 MB
+        rng = np.random.default_rng(36)
+        layer = BatchNorm(64)
+        layer.forward(rng.standard_normal(shape), train=True, owned=True)
+        grad = rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            dx = layer.backward(grad, owned=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # dx is written into the owned gradient, and every pass works on one block
+        assert np.shares_memory(dx, grad)
+        assert peak < grad.nbytes / 4, peak
+
     @pytest.mark.parametrize("name", sorted(LAYER_CASES))
     def test_repeat_pass_is_bitwise_equal(self, name):
         factory, shape = LAYER_CASES[name]
@@ -444,6 +461,72 @@ class TestCacheContract:
         layer = factory(np.random.default_rng(36))
         dx, _ = _forward_backward(layer, np.random.default_rng(37).standard_normal(shape))
         assert dx.shape == shape and dx.flags.c_contiguous
+
+
+class TestBatchNormRecompute:
+    """A BatchNorm with a `source` conv keeps that conv's input, not its centred map,
+    and rebuilds the map in backward with the bits of the kept one."""
+
+    @pytest.mark.parametrize("profile", [paper_profile, desk_profile])
+    def test_walk_marks_only_dilated_0(self, profile):
+        model = build_model(profile())
+        marked = [(part, i) for part in ("extractor", "dilated")
+                  for i, layer in enumerate(getattr(model, part).layers)
+                  if isinstance(layer, BatchNorm) and layer.source is not None]
+        assert marked == [("dilated", 1)]
+        assert model.dilated.layers[1].source is model.dilated.layers[0]
+
+    @staticmethod
+    def _conv_and_input(seed):
+        rng = np.random.default_rng(seed)
+        conv = DilatedConv2d(1, 8, 3, 3, 2, rng=rng)
+        conv.bias[:] = rng.standard_normal(8)
+        return conv, rng.standard_normal((3, 1, 30, 20)), rng
+
+    def test_train_forward_keeps_no_map_sized_array(self):
+        conv, x, _ = self._conv_and_input(80)
+        layer = BatchNorm(8, source=conv)
+        y = layer.forward(conv.forward(x, train=True), train=True, owned=True)
+        kept, *stats = layer._cache
+        arrays = [a for a in (*kept, *stats) if isinstance(a, np.ndarray)]
+        assert any(a is x for a in kept)  # the conv's own cached input, not a copy
+        assert max(a.size for a in arrays if a is not x) < y.size // 100
+
+    @pytest.mark.parametrize("owned", [False, True])
+    def test_matches_an_unmarked_batchnorm_bitwise(self, owned):
+        conv, x, rng = self._conv_and_input(81)
+        marked, plain = BatchNorm(8, source=conv), BatchNorm(8)
+        for layer in (marked, plain):
+            layer.gamma[:] = np.linspace(0.5, 1.5, 8)
+            layer.beta[:] = np.linspace(-1.0, 1.0, 8)
+        y_conv = conv.forward(x, train=True)
+        y_marked = marked.forward(y_conv.copy(), train=True, owned=owned)
+        y_plain = plain.forward(y_conv.copy(), train=True, owned=owned)
+        assert_bitwise(y_marked, y_plain, "y")
+        grad = rng.standard_normal(y_conv.shape)
+        # a traced run wraps `forward` on the instance: the rebuild must stay out of it
+        conv.forward = lambda *args, **kwargs: pytest.fail("the rebuild called forward")
+        assert_bitwise(marked.backward(grad.copy(), owned=owned),
+                       plain.backward(grad.copy(), owned=owned), "dx")
+        for k in ("grad_gamma", "grad_beta", "running_mean", "running_var"):
+            assert_bitwise(getattr(marked, k), getattr(plain, k), k)
+        with pytest.raises(StateError):
+            marked.backward(grad)
+        conv.backward(grad)  # the rebuild left the conv's cache for its own backward
+
+    def test_train_forward_needs_the_conv_cache(self):
+        conv, x, _ = self._conv_and_input(82)
+        layer = BatchNorm(8, source=conv)
+        with pytest.raises(StateError):
+            layer.forward(conv.forward(x), train=True)
+
+    def test_train_step_matches_an_unmarked_model(self, monkeypatch):
+        marked = TestChunkedLoweringBitwise._step_bits(desk_profile, 8)
+        monkeypatch.setattr(model_module, "RECOMPUTE_RATIO", math.inf)
+        plain = TestChunkedLoweringBitwise._step_bits(desk_profile, 8)
+        assert list(marked) == list(plain)
+        for k in marked:
+            assert np.array_equal(marked[k], plain[k]), k
 
 
 class TestInputsAreNotWritten:
@@ -713,17 +796,34 @@ def _pair(old, new, x, grad):
         assert_bitwise(old_grads[k], new_grads[k], k)
 
 
+# (sample, channel) rows of 64 x 64 that fill one BatchNorm backward block
+_BLOCK_ROWS = layers_module.BLOCK_BYTES // (64 * 64 * np.dtype(FLOAT).itemsize)
+
+
 class TestBitwiseAgainstOldCode:
-    @pytest.mark.parametrize("shape", [(4, 3, 7), (2, 3, 9, 6), (5, 3)])
+    @pytest.mark.parametrize("shape", [
+        (4, 3, 7), (2, 3, 9, 6), (5, 3),
+        # paper's dilated.0 map at B=2 and B=1: one block per (sample, channel) row
+        (2, 64, 776, 98), (1, 64, 776, 98),
+        # B = 8 and 9: the sample sums must stay in order, not go pairwise
+        (8, 3, 7), (9, 3, 7), (9, 3), (8, 5, 300, 300), (9, 2, 300, 300),
+        # one channel, which numpy sums as one row of the whole map
+        (9, 1, 50), (8, 1),
+        # a map at the block budget; one row past it, with a partial last block of
+        # channels; and three samples in blocks of two
+        (1, _BLOCK_ROWS, 64, 64), (1, _BLOCK_ROWS + 1, 64, 64), (3, _BLOCK_ROWS // 2, 64, 64),
+    ])
     def test_batchnorm(self, shape):
         rng = np.random.default_rng(50)
-        old, new = OldBatchNorm(3), BatchNorm(3)
-        old.gamma[:] = rng.uniform(0.5, 1.5, 3)
-        old.beta[:] = rng.standard_normal(3)
+        c = shape[1]
+        old, new = OldBatchNorm(c), BatchNorm(c)
+        old.gamma[:] = rng.uniform(0.5, 1.5, c)
+        old.beta[:] = rng.standard_normal(c)
         new.gamma[:], new.beta[:] = old.gamma, old.beta
-        for step in range(3):
+        for step in range(3 if math.prod(shape) < 10**6 else 1):
             x = rng.standard_normal(shape) * 2.0 + 1.0
-            x[:, 1] = 4.0  # a constant channel: the variance floor masks it
+            if c > 1:
+                x[:, 1] = 4.0  # a constant channel: the variance floor masks it
             _pair(old, new, x, rng.standard_normal(shape))
             for k in ("running_mean", "running_var"):
                 assert_bitwise(getattr(old, k), getattr(new, k), k)
