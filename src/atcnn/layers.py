@@ -26,6 +26,13 @@ never writes into its arguments. What train mode caches:
 - `Pool2d`: the input shape and a uint8 winner index per output (None for
   avg). Pooling works on strided views of the four corners of each 2x2
   block.
+- `DepthwiseConv1d`: the input shape and a strided window view of the input.
+  Backward builds the input gradient a block of samples at a time.
+- `Replayed` (`Model`'s extractor): over an input of REPLAY_BYTES or more,
+  only a reference to that input; its layers' caches are dropped once its
+  forward has run, and backward replays the forward to rebuild them. On the
+  paper profile every train step is replayed (one segment's frames take
+  13.9 MB); desk's B=8 batch (1.7 MB) keeps its caches.
 
 `Conv1d` and `DilatedConv2d` are one operation with two geometries: both
 subclass `Im2colConv`, which lowers a valid convolution to a GEMM over
@@ -77,6 +84,13 @@ GEMM_MIN_COLUMNS = 512
 # one lowering per fold group costs an `im2col_batch` call per group, which
 # slows the small desk layers; at this bound every desk lowering is one chunk.
 LOWERING_BYTES = 16 * 2**20
+# A `Replayed` stack (`Model`'s extractor) given a train-mode input of at least this
+# many bytes keeps only that input and replays its forward in backward, rather than
+# keep its layers' caches through the rest of the pass. Paper's extractor caches
+# take about five times its frames (146 MiB at B=2, whose frames take 28 MB), so one
+# paper segment (13.9 MB) is replayed. desk's B=8 batch (1.7 MB) is not: its caches
+# take 12 MB, and replaying them slowed its step by 17%.
+REPLAY_BYTES = 8 * 2**20
 # BatchNorm backward makes all its passes over one block of its map, near this
 # many bytes, before it moves to the next, rather than rereading the whole map
 # from memory on every pass (paper's `dilated.0` map is 78 MB at B=2). Every
@@ -285,18 +299,30 @@ class DepthwiseConv1d(Layer):
         x_shape, windows = self._take_cache()
         self.grad_kernels = np.einsum("bclk,bcl->ck", windows, grad)
         self.grad_bias = grad.sum(axis=(0, 2))
-        # Time-major [L, B, C]: each tap adds whole contiguous [B, C] planes. Every
-        # element gets the same products added in the same tap order as when
-        # accumulating in [B, C, L], so dx has the same bits.
+        # A block of samples at a time, time-major [L, n, C]: each tap adds whole
+        # contiguous [n, C] planes. Every element gets the same products added in the
+        # same tap order as when accumulating in [B, C, L], so dx has the same bits.
+        # A block's dx takes a quarter of BLOCK_BYTES, so with its gradient and one
+        # tap's products (each no larger) it stays within BLOCK_BYTES.
         b, c, l_in = x_shape
-        g = np.ascontiguousarray(grad.transpose(2, 0, 1))
-        term = np.empty_like(g)
-        dx = np.zeros((l_in, b, c), dtype=FLOAT)
-        for t in range(self.kernel):
-            np.multiply(g, self.kernels[:, t], out=term)
-            dx[t : t + self.stride * g.shape[0] : self.stride] += term
-        del g, term  # free both before the [B, C, L_in] copy is made
-        return np.ascontiguousarray(dx.transpose(1, 2, 0))
+        l_out = grad.shape[2]
+        step = max(1, BLOCK_BYTES // (4 * c * l_in * np.dtype(FLOAT).itemsize))  # samples
+        size = min(step, b) * c
+        d_buf, g_buf, term_buf = (np.empty(size * length, dtype=FLOAT)
+                                  for length in (l_in, l_out, l_out))
+        dx = np.empty(x_shape, dtype=FLOAT)
+        for s in range(0, b, step):
+            n = min(step, b - s)
+            d = d_buf[: l_in * n * c].reshape(l_in, n, c)
+            g = g_buf[: l_out * n * c].reshape(l_out, n, c)
+            term = term_buf[: l_out * n * c].reshape(l_out, n, c)
+            np.copyto(g, grad[s : s + n].transpose(2, 0, 1))
+            d.fill(0.0)
+            for t in range(self.kernel):
+                np.multiply(g, self.kernels[:, t], out=term)
+                d[t : t + self.stride * l_out : self.stride] += term
+            dx[s : s + n] = d.transpose(1, 2, 0)
+        return dx
 
 
 class PointwiseConv(Layer):
@@ -411,38 +437,57 @@ class BatchNorm(Layer):
         # as one row of the whole map
         b, c = grad.shape[:2]
         n = b if c > 1 else 1
-        xm = xm.reshape(n, c, -1)
-        g = grad.reshape(n, c, -1)
+        width = grad.size // (n * c)  # elements per row
+        # a one-wide map is worked on as [n, c], whose broadcasts numpy runs far
+        # faster than those of [n, c, 1]
+        row = (width,) if width > 1 else ()
+        bshape = (1, c) + (1,) * len(row)
+        xm = xm.reshape(n, c, *row)
+        g = grad.reshape(n, c, *row)
         dx = g if owned else np.empty(g.shape, dtype=FLOAT)
-        # contiguous blocks: whole samples, or one sample's channels if it is larger
-        step = max(1, BLOCK_BYTES // g[0, 0].nbytes)  # rows per block
+        inv_b, gamma_b = inv.reshape(bshape), self.gamma.reshape(bshape)
+        # contiguous blocks: whole samples, or one sample's channels if it is larger;
+        # a one-wide map is one block, smaller than the row sums a wider one keeps
+        step = max(1, BLOCK_BYTES // (width * g.itemsize)) if row else n * c  # rows per block
         if step >= c:
             blocks = [(slice(s, s + step // c), slice(None)) for s in range(0, n, step // c)]
         else:
             blocks = [(slice(s, s + 1), slice(k, k + step)) for s in range(n)
                       for k in range(0, c, step)]
-        buf = np.empty(min(step, n * c) * g.shape[2], dtype=FLOAT)
-        inv_b, gamma_b = inv.reshape(1, c, 1), self.gamma.reshape(1, c, 1)
-        rows = np.empty((5, n, c), dtype=FLOAT)
-        for k in blocks:
-            xk, gk, dk = xm[k], g[k], dx[k]
-            tmp = buf[: xk.size].reshape(xk.shape)
-            np.multiply(xk, inv_b[:, k[1]], out=tmp)  # xhat, as forward made it
-            np.multiply(gk, tmp, out=tmp)
-            tmp.sum(axis=2, out=rows[0][k])
-            gk.sum(axis=2, out=rows[1][k])
-            np.multiply(gk, gamma_b[:, k[1]], out=dk)  # dxhat
-            np.multiply(dk, xk, out=tmp)
-            tmp.sum(axis=2, out=rows[2][k])
-            dk.sum(axis=2, out=rows[3][k])
-            xk.sum(axis=2, out=rows[4][k])
-        # in sample order: numpy loops over the c > 1 channels innermost, so it adds
-        # whole samples one after another rather than pairwise
-        self.grad_gamma, self.grad_beta, dxhat_xm, dxhat_sum, xm_sum = rows.sum(axis=1)
+        buf = np.empty(min(step, n * c) * width, dtype=FLOAT)
+        if row:
+            rows = np.empty((5, n, c), dtype=FLOAT)
+            for k in blocks:
+                xk, gk, dk = xm[k], g[k], dx[k]
+                tmp = buf[: xk.size].reshape(xk.shape)
+                np.multiply(xk, inv_b[:, k[1]], out=tmp)  # xhat, as forward made it
+                np.multiply(gk, tmp, out=tmp)
+                tmp.sum(axis=2, out=rows[0][k])
+                gk.sum(axis=2, out=rows[1][k])
+                np.multiply(gk, gamma_b[:, k[1]], out=dk)  # dxhat
+                np.multiply(dk, xk, out=tmp)
+                tmp.sum(axis=2, out=rows[2][k])
+                dk.sum(axis=2, out=rows[3][k])
+                xk.sum(axis=2, out=rows[4][k])
+            # in sample order: numpy loops over the c > 1 channels innermost, so it adds
+            # whole samples one after another rather than pairwise
+            self.grad_gamma, self.grad_beta, dxhat_xm, dxhat_sum, xm_sum = rows.sum(axis=1)
+        else:
+            # numpy's pairwise sum of one value is 0.0 plus it, which differs from the
+            # value only by the sign of a zero, and the in-order sample sum starts at
+            # 0.0 too, which drops that sign either way; so each value goes straight
+            # to the sample sum
+            tmp = buf.reshape(n, c)
+            np.multiply(xm, inv_b, out=tmp)  # xhat, as forward made it
+            np.multiply(g, tmp, out=tmp)
+            self.grad_gamma, self.grad_beta = tmp.sum(axis=0), g.sum(axis=0)
+            np.multiply(g, gamma_b, out=dx)  # dxhat
+            np.multiply(dx, xm, out=tmp)
+            dxhat_xm, dxhat_sum, xm_sum = tmp.sum(axis=0), dx.sum(axis=0), xm.sum(axis=0)
         # d/dvar through the floor is zero on floored (near-constant) channels
         dvar = dxhat_xm * (-0.5) * inv**3 * mask
         dmu = -dxhat_sum * inv + dvar * (-2.0 / m) * xm_sum
-        two_dvar, dmu_m = dvar.reshape(1, c, 1) * 2.0, dmu.reshape(1, c, 1) / m
+        two_dvar, dmu_m = dvar.reshape(bshape) * 2.0, dmu.reshape(bshape) / m
         # dx = (dxhat * inv + dvar * 2 * xm / m) + dmu / m, in this order, in place
         for k in blocks:
             xk, dk = xm[k], dx[k]
@@ -667,6 +712,56 @@ class Sequential(Layer):
         nearby points means a kink lies between them.
         """
         return hash(tuple(layer.activation_signature() for layer in self.layers))
+
+
+class Replayed(Sequential):
+    """A `Sequential` that recomputes its caches in backward rather than keep them
+    (gradient checkpointing, Chen et al., arXiv 1604.06174).
+
+    A train-mode forward over an input of REPLAY_BYTES or more runs as
+    `Sequential`'s, then drops its layers' caches and keeps only a reference to
+    that input, which the caller holds anyway. Backward first replays the
+    train-mode forward from it, by the same calls with the same ownership, so
+    every cache is rebuilt with the bits of the dropped one, and puts the
+    running statistics back, so they move once per pass. The input must not
+    change before backward, as for any layer that caches its input. A smaller
+    input keeps its caches, as in `Sequential`.
+    """
+
+    def forward(self, x, train=False, owned=False):
+        replay = train and x.nbytes >= REPLAY_BYTES
+        # the replay reads x again, so no layer may own it
+        y = super().forward(x, train=train, owned=owned and not replay)
+        self._cache = x if replay else None
+        if replay:
+            self._drop_caches()
+        return y
+
+    def backward(self, grad, input_grad=True, owned=False):
+        if self._cache is not None:
+            self._replay(self._take_cache())
+        return super().backward(grad, input_grad=input_grad, owned=owned)
+
+    def activation_signature(self):
+        """`Sequential`'s; after a replayed forward, from caches rebuilt for it and
+        dropped again."""
+        if self._cache is None:
+            return super().activation_signature()
+        self._replay(self._cache)
+        signature = super().activation_signature()
+        self._drop_caches()
+        return signature
+
+    def _replay(self, x):
+        """The train-mode forward again, with the running statistics left as they were."""
+        saved = [b.copy() for b in self.named_buffers().values()]
+        super().forward(x, train=True)
+        for b, value in zip(self.named_buffers().values(), saved):
+            b[...] = value
+
+    def _drop_caches(self):
+        for layer in self.layers:
+            layer._cache = None
 
 
 class Network:

@@ -10,7 +10,10 @@ then the softmax head). `forward_batch` reshapes segments to frames
 so it is forward-only and not a part. Segments meet only in the
 classifier's batch and, in train mode, in BatchNorm's batch statistics, so
 eval runs every part but the classifier one segment at a time and the
-classifier on the batch. The benchmark reads `extractor.layers`,
+classifier on the batch. The extractor is a `layers.Replayed` stack: a
+train-mode batch of paper frames keeps no extractor caches through the
+dilated stack's passes, and the extractor's backward replays its forward
+first. The benchmark reads `extractor.layers`,
 `dilated.layers`, `classifier` and `head`, and wraps methods on the
 instance, so the walk looks them up at call time.
 
@@ -45,6 +48,7 @@ from .layers import (
     Pool2d,
     PointwiseConv,
     ReLU,
+    Replayed,
     Sequential,
 )
 from .tensor_ops import FLOAT, conv_output_length, heap_reuse
@@ -272,7 +276,7 @@ def _walk(config: ModelConfig, rng: Optional[np.random.Generator]):
         entries.append(_weighted(stage, "linear", (flat,), (config.class_count,), classifier))
     except ValueError as exc:  # a shape that does not close, or a value no layer takes
         raise ConfigurationError(f"{stage}: {exc}") from exc
-    return entries, (Sequential(extractor), Sequential(dilated), classifier)
+    return entries, (Replayed(extractor), Sequential(dilated), classifier)
 
 
 def shape_trace(config: ModelConfig) -> list[TraceEntry]:

@@ -24,6 +24,7 @@ from atcnn.layers import (
     Pool2d,
     PointwiseConv,
     ReLU,
+    Replayed,
     Sequential,
     SoftmaxCrossEntropy,
     _weight_grad,
@@ -529,6 +530,128 @@ class TestBatchNormRecompute:
             assert np.array_equal(marked[k], plain[k]), k
 
 
+class TestReplayedExtractor:
+    """Over a large train-mode batch the extractor keeps only its input and replays its
+    forward in backward, with the bits of the kept path. The desk profile is pushed
+    over REPLAY_BYTES by patching the constant."""
+
+    @staticmethod
+    def _batch(profile, b, seed=90):
+        cfg = profile()
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((b, cfg.frames_per_segment, cfg.frame_length))
+        return cfg, xs, rng.integers(0, cfg.class_count, b)
+
+    @staticmethod
+    def _two_steps(monkeypatch, replay_bytes):
+        """loss, probs, grads, parameters and running statistics over two RMSProp steps
+        of a desk B=8 model, each as its uint64 view."""
+        monkeypatch.setattr(layers_module, "REPLAY_BYTES", replay_bytes)
+        cfg, xs, labels = TestReplayedExtractor._batch(desk_profile, 8)
+        model = build_model(cfg, seed=3)
+        optimizer = RmsProp(model.named_params())
+        out = {}
+        for step in range(2):
+            value, probs, grads = model.loss_and_grads(xs, labels)
+            out[f"{step} loss"], out[f"{step} probs"] = value, probs
+            out.update({f"{step} grad {k}": v.copy() for k, v in grads.items()})
+            out.update({f"{step} buffer {k}": v.copy() for k, v in model.named_buffers().items()})
+            optimizer.step(grads)
+        out.update({f"param {k}": v for k, v in model.named_params().items()})
+        return {k: np.asarray(v, dtype=FLOAT).view(np.uint64) for k, v in out.items()}
+
+    def test_two_steps_match_the_kept_path_bitwise(self, monkeypatch):
+        replayed = self._two_steps(monkeypatch, 0)
+        kept = self._two_steps(monkeypatch, math.inf)
+        assert list(replayed) == list(kept)
+        for k in kept:
+            assert np.array_equal(replayed[k], kept[k]), k
+
+    def test_running_statistics_move_once_per_step(self, monkeypatch):
+        monkeypatch.setattr(layers_module, "REPLAY_BYTES", 0)
+        cfg, xs, labels = self._batch(desk_profile, 4)
+        model = build_model(cfg, seed=3)
+        model.forward_batch(xs, train=True)
+        moved = {k: v.copy() for k, v in model.named_buffers().items()}
+        assert any(not np.array_equal(v, 0.0) for k, v in moved.items() if "running_mean" in k)
+        model.backward(labels)  # replays the extractor's forward
+        for k, v in model.named_buffers().items():
+            assert np.array_equal(v, moved[k]), k
+
+    def test_train_forward_keeps_only_its_input(self, monkeypatch):
+        monkeypatch.setattr(layers_module, "REPLAY_BYTES", 0)
+        cfg, xs, _ = self._batch(desk_profile, 2)
+        model = build_model(cfg, seed=3)
+        model.forward_batch(xs, train=True)
+        assert all(layer._cache is None for layer in model.extractor.layers)
+        kept = model.extractor._cache
+        assert kept.base is xs  # a view of the caller's frames, not a copy
+
+    def test_second_backward_raises(self, monkeypatch):
+        monkeypatch.setattr(layers_module, "REPLAY_BYTES", 0)
+        cfg, xs, _ = self._batch(desk_profile, 2)
+        extractor = build_model(cfg, seed=3).extractor
+        frames = xs.reshape(-1, 1, cfg.frame_length)
+        y = extractor.forward(frames, train=True)
+        extractor.backward(np.ones_like(y), input_grad=False)
+        with pytest.raises(StateError):
+            extractor.backward(np.ones_like(y), input_grad=False)
+
+    def test_activation_signature_matches_the_kept_path(self, monkeypatch):
+        cfg, xs, labels = self._batch(desk_profile, 2)
+        signatures, buffers = [], []
+        for replay_bytes in (0, math.inf):
+            monkeypatch.setattr(layers_module, "REPLAY_BYTES", replay_bytes)
+            model = build_model(cfg, seed=3)
+            model.loss(xs, labels)
+            signatures.append((model.activation_signature(),
+                               model.extractor.activation_signature()))
+            buffers.append({k: v.copy() for k, v in model.named_buffers().items()})
+            model.backward(labels)  # the signature left the replay's input in place
+        assert signatures[0] == signatures[1]
+        # the extractor's ReLU masks are in it
+        nothing = hash((None,) * len(model.extractor.layers))
+        assert signatures[0][1] != nothing
+        for k in buffers[0]:
+            assert np.array_equal(buffers[0][k], buffers[1][k]), k
+
+    def test_gradient_check_matches_the_kept_path(self, monkeypatch):
+        cfg, xs, labels = self._batch(desk_profile, 2)
+        worst = []
+        for replay_bytes in (0, math.inf):
+            monkeypatch.setattr(layers_module, "REPLAY_BYTES", replay_bytes)
+            model = build_model(cfg, seed=3)
+            worst.append(gradient_check(model, xs, labels, max_coords_per_param=1, seed=4))
+        assert worst[0] == worst[1]
+
+    @pytest.mark.parametrize("profile, batch, replays", [
+        (desk_profile, 8, False),  # 1.7 MB of frames: keeps its caches
+        (paper_profile, 1, True),  # 13.9 MB: replays
+    ])
+    def test_the_frame_bytes_select_the_replay(self, profile, batch, replays):
+        cfg, xs, _ = self._batch(profile, batch)
+        model = build_model(cfg, seed=3)
+        assert isinstance(model.extractor, Replayed)
+        model.extractor.forward(xs.reshape(-1, 1, cfg.frame_length), train=True)
+        caches = [layer._cache is not None for layer in model.extractor.layers]
+        assert caches == [not replays] * len(caches)
+        assert (model.extractor._cache is not None) == replays
+
+    def test_replayed_train_forward_retains_under_half_of_the_kept_one(self, monkeypatch):
+        cfg, xs, _ = self._batch(desk_profile, 8)
+        retained = []
+        for replay_bytes in (0, math.inf):
+            monkeypatch.setattr(layers_module, "REPLAY_BYTES", replay_bytes)
+            model = build_model(cfg, seed=3)
+            tracemalloc.start()
+            try:
+                model.forward_batch(xs, train=True)
+                retained.append(tracemalloc.get_traced_memory()[0])
+            finally:
+                tracemalloc.stop()
+        assert retained[0] < retained[1] / 2, retained
+
+
 class TestInputsAreNotWritten:
     """No forward or backward writes into its argument: every one takes read-only arrays."""
 
@@ -812,6 +935,9 @@ class TestBitwiseAgainstOldCode:
         # a map at the block budget; one row past it, with a partial last block of
         # channels; and three samples in blocks of two
         (1, _BLOCK_ROWS, 64, 64), (1, _BLOCK_ROWS + 1, 64, 64), (3, _BLOCK_ROWS // 2, 64, 64),
+        # one-wide maps, whose values go straight to the sample sum: paper's extractor.3
+        # and .4 at B=2, desk's at B=8
+        (1600, 128, 1), (1600, 100, 1), (800, 32, 1), (800, 25, 1),
     ])
     def test_batchnorm(self, shape):
         rng = np.random.default_rng(50)
@@ -824,7 +950,10 @@ class TestBitwiseAgainstOldCode:
             x = rng.standard_normal(shape) * 2.0 + 1.0
             if c > 1:
                 x[:, 1] = 4.0  # a constant channel: the variance floor masks it
-            _pair(old, new, x, rng.standard_normal(shape))
+            grad = rng.standard_normal(shape)
+            if c > 2:
+                grad[:, 2] = -0.0  # as a dead ReLU passes back: sums of negative zeros
+            _pair(old, new, x, grad)
             for k in ("running_mean", "running_var"):
                 assert_bitwise(getattr(old, k), getattr(new, k), k)
         x = rng.standard_normal(shape)
@@ -849,6 +978,25 @@ class TestBitwiseAgainstOldCode:
         new.forward(x, train=True)
         assert new.backward(np.ones((1, 1, 1, 2)))[0, 0].tolist() == [
             [1.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 5]
+
+    # blocks of BLOCK_BYTES // 4 bytes of [4, 20] samples
+    _DW_BLOCK = layers_module.BLOCK_BYTES // (4 * 4 * 20 * np.dtype(FLOAT).itemsize)
+
+    @pytest.mark.parametrize("shape, kernel, stride", [
+        ((2 * _DW_BLOCK + 3, 4, 20), 5, 2),  # two whole blocks and a partial last one
+        ((800, 64, 40), 12, 2),  # paper's extractor.1 at B=1
+        ((1600, 128, 15), 15, 1),  # paper's extractor.3 at B=2
+        ((800, 16, 25), 6, 2),  # desk's extractor.1 at B=8
+        ((800, 32, 10), 10, 1),  # desk's extractor.3 at B=8
+    ])
+    def test_depthwise_backward_in_sample_blocks(self, shape, kernel, stride):
+        c = shape[1]
+        rng = np.random.default_rng(54)
+        old = OldDepthwiseConv1d(c, kernel, stride, rng=np.random.default_rng(8))
+        new = DepthwiseConv1d(c, kernel, stride, rng=np.random.default_rng(8))
+        x = rng.standard_normal(shape)
+        grad = rng.standard_normal(new.forward(x).shape)
+        _pair(old, new, x, grad)
 
     @pytest.mark.parametrize("stride", [1, 2])
     def test_depthwise_backward(self, stride):
