@@ -47,9 +47,10 @@ Backward returns the input gradient as a C-contiguous array (the next
 layer's reductions sum in memory order) and stores parameter gradients on
 the layer (`grad_*` attributes, exposed via `named_grads`). Convolution
 weight gradients are summed over the batch as 2-D BLAS GEMMs
-(`_weight_grad`). `Im2colConv` and `Sequential` backward take
-`input_grad=False`, which skips the input gradient; `Model.backward` uses
-it on the first extractor layer, a `Conv1d` whose input is the waveform.
+(`_weight_grad`). An `Im2colConv` whose `input_grad` is False makes no
+input gradient and returns None, and so does a `Sequential` that starts
+with it. Nothing reads the waveform's gradient, so `model._walk` sets
+`input_grad` False on a `Conv1d` it plans at `extractor.0`.
 
 `Network` is a `Sequential` stack that ends in [B, C] logits, plus the
 softmax-cross-entropy head; `Model` (named parts) is one, and so is a
@@ -213,6 +214,7 @@ class Im2colConv(Layer):
     """
 
     param_names = ("weight", "bias")
+    input_grad = True  # False: backward makes no input gradient and returns None
 
     def __init__(self, in_channels: int, out_channels: int, kernel: tuple[int, ...],
                  strides: tuple[int, ...], dilations: tuple[int, ...],
@@ -245,16 +247,15 @@ class Im2colConv(Layer):
         y += self.bias[:, None]
         return y.reshape((x.shape[0], self.out_channels) + out)
 
-    def backward(self, grad, input_grad=True, owned=False):
-        """``input_grad=False`` skips the input gradient and returns None."""
+    def backward(self, grad, owned=False):
         x = self._take_cache()
         g_mat = grad.reshape(grad.shape[0], self.out_channels, -1)
         w = self.weight.reshape(self.out_channels, -1)
         grad_weight = np.zeros(w.shape, dtype=FLOAT)
-        dx = np.empty(x.shape, dtype=FLOAT) if input_grad else None
+        dx = np.empty(x.shape, dtype=FLOAT) if self.input_grad else None
         for part in _chunks(x.shape[0], w.shape[1], g_mat.shape[2]):
             _weight_grad(g_mat[part], im2col_batch(x[part], *self._lowering), grad_weight)
-            if input_grad:
+            if dx is not None:
                 dx[part] = col2im_batch(np.matmul(w.T, g_mat[part]), dx[part].shape,
                                         *self._lowering)
         self.grad_weight = grad_weight.reshape(self.weight.shape)
@@ -688,21 +689,14 @@ class Sequential(Layer):
             x, owned = y, _owns(owned, x, y)
         return x
 
-    def backward(self, grad, input_grad=True, owned=False):
+    def backward(self, grad, owned=False):
         """Backpropagate through every layer, handing each its gradient as owned by
-        the rule in `Layer`; ``input_grad=False`` has the first layer skip its
-        input gradient and returns None. Only `Im2colConv` and `Sequential`
-        take ``input_grad``, so with ``input_grad=False`` the first layer must
-        be one of them. `Model.backward` passes it to the extractor, so the
-        layer plan rejects an extractor that does not start with a standard
-        'conv' (a `Conv1d`)."""
-        for layer in reversed(self.layers[1:]):
+        the rule in `Layer`. Returns None if the first layer makes no input
+        gradient (a `Conv1d` marked as reading the waveform)."""
+        for layer in reversed(self.layers):
             g = layer.backward(grad, owned=owned)
-            grad, owned = g, _owns(owned, grad, g)
-        first = self.layers[0]
-        if input_grad:
-            return first.backward(grad, owned=owned)
-        return first.backward(grad, input_grad=False, owned=owned)
+            grad, owned = g, g is not None and _owns(owned, grad, g)
+        return grad
 
     def activation_signature(self):
         """Hash of all cached ReLU masks and max-pool argmax indices.
@@ -737,10 +731,10 @@ class Replayed(Sequential):
             self._drop_caches()
         return y
 
-    def backward(self, grad, input_grad=True, owned=False):
+    def backward(self, grad, owned=False):
         if self._cache is not None:
             self._replay(self._take_cache())
-        return super().backward(grad, input_grad=input_grad, owned=owned)
+        return super().backward(grad, owned=owned)
 
     def activation_signature(self):
         """`Sequential`'s; after a replayed forward, from caches rebuilt for it and
@@ -788,10 +782,10 @@ class Network:
         """Input batch -> class probabilities [B, C]."""
         return self.head.forward(self.stack.forward(x, train=train), train=train)
 
-    def backward(self, labels: np.ndarray, input_grad: bool = True) -> None:
-        """Backpropagate the loss of the last train-mode forward against `labels`;
-        ``input_grad=False`` skips the gradient with respect to the input."""
-        self.stack.backward(self.head.backward(labels), input_grad=input_grad)
+    def backward(self, labels: np.ndarray) -> None:
+        """Backpropagate the loss of the last train-mode forward against `labels`
+        into every layer's parameter gradients; the input's gradient is dropped."""
+        self.stack.backward(self.head.backward(labels))
 
     def loss(self, x: np.ndarray, labels: np.ndarray) -> float:
         """Train-mode loss; like every train-mode forward, it moves the running statistics."""

@@ -92,10 +92,6 @@ class ModelConfig:
     epochs: int = 100
     batch_size: int = 8
 
-    @property
-    def segment_samples(self) -> int:
-        return 10 * self.sample_rate
-
 
 def paper_profile() -> ModelConfig:
     """Full-size architecture: 48 kHz audio, 800 frames of 2176 samples."""
@@ -218,10 +214,8 @@ def _walk(config: ModelConfig, rng: Optional[np.random.Generator]):
     entries: list[TraceEntry] = []
     stage = "extractor.0"
     try:
-        first = config.extractor[0].kind if config.extractor else None
-        if first != "conv":
-            # Model.backward skips the waveform gradient, which only a standard conv can skip
-            raise ShapeError(f"the extractor must start with a 'conv' layer, got {first!r}")
+        if not config.extractor:
+            raise ShapeError("the extractor has no layers")
         extractor: list = []
         channels, length = 1, config.frame_length
         for i, spec in enumerate(config.extractor):
@@ -229,6 +223,7 @@ def _walk(config: ModelConfig, rng: Optional[np.random.Generator]):
             if spec.kind == "conv":
                 length = conv_output_length(length, spec.kernel, spec.stride)
                 conv = Conv1d(channels, spec.out_channels, spec.kernel, spec.stride, rng=rng)
+                conv.input_grad = i > 0  # nothing reads the waveform's gradient
                 channels = spec.out_channels
             elif spec.kind == "dw":
                 length = conv_output_length(length, spec.kernel, spec.stride)
@@ -409,10 +404,6 @@ class Model(Network):
                     x = part.forward(x)
                 rows.append(x)
         return self.head.forward(classifier.forward(np.concatenate(rows)))
-
-    def backward(self, labels: np.ndarray) -> None:
-        """Backpropagate through every part, skipping the unused waveform gradient."""
-        super().backward(labels, input_grad=False)
 
     def forward_segment(self, x: np.ndarray) -> np.ndarray:
         """One segment [T, N] -> eval-mode probability vector [C]."""

@@ -223,12 +223,10 @@ def conv_output_length(length: int, kernel: int, stride: int = 1, dilation: int 
 
 
 def _lowering(x_shape, kernel, strides, dilations):
-    """Normalise `(kernel, strides, dilations)` for a [B, C, *spatial] input;
-    strides and dilations default to 1. Returns them with the output extents."""
-    kernel = tuple(int(k) for k in kernel)
+    """Normalise `(kernel, strides, dilations)` for a [B, C, *spatial] input.
+    Returns them with the output extents."""
+    kernel, strides, dilations = (tuple(map(int, v)) for v in (kernel, strides, dilations))
     nsp = len(kernel)
-    strides = tuple(int(s) for s in strides) if strides is not None else (1,) * nsp
-    dilations = tuple(int(d) for d in dilations) if dilations is not None else (1,) * nsp
     if len(x_shape) != nsp + 2:
         raise ShapeError(f"expected [B, C, {nsp} spatial] input, got shape {tuple(x_shape)}")
     out = tuple(map(conv_output_length, x_shape[2:], kernel, strides, dilations))
@@ -238,8 +236,8 @@ def _lowering(x_shape, kernel, strides, dilations):
 def im2col_batch(
     x: np.ndarray,
     kernel: Sequence[int],
-    strides: Sequence[int] | None = None,
-    dilations: Sequence[int] | None = None,
+    strides: Sequence[int],
+    dilations: Sequence[int],
 ) -> np.ndarray:
     """Lower a batched [B, C, *spatial] tensor to patch columns.
 
@@ -266,8 +264,8 @@ def col2im_batch(
     cols: np.ndarray,
     x_shape: tuple[int, ...],
     kernel: Sequence[int],
-    strides: Sequence[int] | None = None,
-    dilations: Sequence[int] | None = None,
+    strides: Sequence[int],
+    dilations: Sequence[int],
 ) -> np.ndarray:
     """Adjoint of `im2col_batch`: scatter-add patch columns back to [B, C, *spatial]."""
     kernel, strides, dilations, out = _lowering(x_shape, kernel, strides, dilations)

@@ -171,7 +171,7 @@ def test_criterion_6_framing():
     start = time.perf_counter()
     cfg = paper_profile()
     rng = np.random.default_rng(6)
-    segment = rng.uniform(-0.7, 0.7, cfg.segment_samples)  # 10 s at 48 kHz
+    segment = rng.uniform(-0.7, 0.7, cfg.hop * cfg.frames_per_segment)  # 10 s at 48 kHz
     fs = frame_segment(segment, cfg)
     shape_ok = fs.frames.shape == (800, 2176)
     mean_ok = float(np.max(np.abs(fs.frames.mean(axis=1)))) <= 1e-6

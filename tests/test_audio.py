@@ -105,7 +105,7 @@ class TestFrameSegment:
     def test_paper_framing_count_and_normalization(self):
         cfg = paper_profile()
         rng = np.random.default_rng(0)
-        fs = frame_segment(rng.uniform(-0.5, 0.5, cfg.segment_samples), cfg)
+        fs = frame_segment(rng.uniform(-0.5, 0.5, cfg.hop * cfg.frames_per_segment), cfg)
         assert fs.frames.shape == (800, 2176)
         assert np.max(np.abs(fs.frames.mean(axis=1))) <= 1e-6
         assert np.max(np.abs(fs.frames.var(axis=1) - 1.0)) <= 1e-6
@@ -113,7 +113,7 @@ class TestFrameSegment:
     def test_frame_offsets_and_window(self):
         cfg = desk_profile()
         rng = np.random.default_rng(1)
-        segment = rng.uniform(-0.5, 0.5, cfg.segment_samples)
+        segment = rng.uniform(-0.5, 0.5, cfg.hop * cfg.frames_per_segment)
         fs = frame_segment(segment, cfg)
         window = hamming_window(cfg.frame_length)
         for t in (0, 3, 99):
@@ -124,8 +124,9 @@ class TestFrameSegment:
     def test_final_frames_draw_zeros_past_end(self):
         # full-size geometry: 2176 + 799*600 = 481576 > 480000
         cfg = paper_profile()
-        assert (cfg.frames_per_segment - 1) * cfg.hop + cfg.frame_length > cfg.segment_samples
-        segment = np.ones(cfg.segment_samples)
+        samples = cfg.hop * cfg.frames_per_segment
+        assert (cfg.frames_per_segment - 1) * cfg.hop + cfg.frame_length > samples
+        segment = np.ones(samples)
         fs = frame_segment(segment, cfg)
         assert fs.frames.shape == (800, 2176)
 
@@ -136,7 +137,7 @@ class TestFrameSegment:
 
     def test_all_zero_segment_gives_zero_frames(self):
         cfg = desk_profile()
-        fs = frame_segment(np.zeros(cfg.segment_samples), cfg)
+        fs = frame_segment(np.zeros(cfg.hop * cfg.frames_per_segment), cfg)
         assert not fs.frames.any()
 
     def test_wrong_length_rejected(self):
@@ -365,7 +366,7 @@ class TestFramedWhenRead:
     def test_segment_is_copied_not_aliased(self):
         cfg = desk_profile()
         for dtype in (np.float64, np.float32):
-            segment = np.random.default_rng(2).uniform(-0.5, 0.5, cfg.segment_samples)
+            segment = np.random.default_rng(2).uniform(-0.5, 0.5, cfg.hop * cfg.frames_per_segment)
             segment = segment.astype(dtype)
             fs = frame_segment(segment, cfg)
             before = fs.frames

@@ -593,9 +593,9 @@ class TestReplayedExtractor:
         extractor = build_model(cfg, seed=3).extractor
         frames = xs.reshape(-1, 1, cfg.frame_length)
         y = extractor.forward(frames, train=True)
-        extractor.backward(np.ones_like(y), input_grad=False)
+        extractor.backward(np.ones_like(y))
         with pytest.raises(StateError):
-            extractor.backward(np.ones_like(y), input_grad=False)
+            extractor.backward(np.ones_like(y))
 
     def test_activation_signature_matches_the_kept_path(self, monkeypatch):
         cfg, xs, labels = self._batch(desk_profile, 2)
@@ -669,7 +669,8 @@ class TestInputsAreNotWritten:
 
 
 class TestWaveformGradientSkipped:
-    """`Model.backward` drops the waveform gradient, so the first conv makes none."""
+    """The plan marks `extractor.0`, the conv that reads the waveform, to make no input
+    gradient; every other conv makes one."""
 
     def test_model_backward_skips_one_col2im(self, monkeypatch):
         calls = []
@@ -680,25 +681,38 @@ class TestWaveformGradientSkipped:
 
         col2im_batch = layers_module.col2im_batch
         monkeypatch.setattr(layers_module, "col2im_batch", counting)
-        config = desk_profile()
-        model = build_model(config, seed=0)
-        xs = np.random.default_rng(38).standard_normal(
-            (2, config.frames_per_segment, config.frame_length))
-        model.loss_and_grads(xs, np.array([0, 1]))
-        im2col_layers = [layer for seq in (model.extractor, model.dilated)
-                         for layer in seq.layers if isinstance(layer, (Conv1d, DilatedConv2d))]
-        assert isinstance(model.extractor.layers[0], Conv1d)
-        assert len(calls) == len(im2col_layers) - 1  # one per conv but the first
-        assert np.abs(model.extractor.layers[0].grad_weight).sum() > 0
+        for profile in (desk_profile, paper_profile):
+            config = profile()
+            model = build_model(config, seed=0)
+            convs = [layer for seq in (model.extractor, model.dilated) for layer in seq.layers
+                     if isinstance(layer, (Im2colConv, DepthwiseConv1d, PointwiseConv))]
+            skipped = []  # in backward order, so the waveform conv's last
+            for conv in convs:
+                def recorded(grad, owned=False, backward=conv.backward):
+                    dx = backward(grad, owned=owned)
+                    skipped.append(dx is None)
+                    return dx
+
+                conv.backward = recorded
+            xs = np.random.default_rng(38).standard_normal(
+                (1, config.frames_per_segment, config.frame_length))
+            calls.clear()
+            model.loss_and_grads(xs, np.array([1]))
+            assert isinstance(convs[0], Conv1d), config.name
+            assert skipped == [False] * (len(convs) - 1) + [True], config.name
+            im2col_layers = [conv for conv in convs if isinstance(conv, Im2colConv)]
+            assert len(calls) == len(im2col_layers) - 1, config.name  # each conv's but the first
+            assert np.abs(convs[0].grad_weight).sum() > 0, config.name
 
     def test_standalone_conv1d_still_returns_dx(self):
         layer = Conv1d(2, 3, 3, 2, rng=np.random.default_rng(39))
         x = np.random.default_rng(40).standard_normal((2, 2, 11))
         dx, grads = _forward_backward(layer, x)
         assert dx.shape == x.shape
+        layer.input_grad = False  # as the plan marks the waveform conv
         y = layer.forward(x, train=True)
         g = np.random.default_rng(1).standard_normal(y.shape)
-        assert layer.backward(g, input_grad=False) is None
+        assert layer.backward(g) is None
         for k, v in layer.named_grads().items():
             assert np.array_equal(v, grads[k]), k
 
@@ -882,14 +896,14 @@ class OldIm2colConv(Im2colConv):
         self._cache = x if train else None
         return y.reshape((x.shape[0], self.out_channels) + out)
 
-    def backward(self, grad, input_grad=True, owned=False):
+    def backward(self, grad, owned=False):
         x = self._take_cache()
         g_mat = grad.reshape(grad.shape[0], self.out_channels, -1)
         cols = im2col_batch(x, *self._lowering)
         self.grad_weight = _weight_grad(g_mat, cols).reshape(self.weight.shape)
         del cols
         self.grad_bias = g_mat.sum(axis=(0, 2))
-        if not input_grad:
+        if not self.input_grad:
             return None
         dcols = np.matmul(self.weight.reshape(self.out_channels, -1).T, g_mat)
         return col2im_batch(dcols, x.shape, *self._lowering)
@@ -979,6 +993,24 @@ class TestBitwiseAgainstOldCode:
         assert new.backward(np.ones((1, 1, 1, 2)))[0, 0].tolist() == [
             [1.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0], [0.0] * 5]
 
+    @pytest.mark.parametrize("factory, shape", [
+        # im2col_batch returns a read-only view of the input, not a copy, for these
+        (lambda cls: cls(3, 4, 1, 1, rng=np.random.default_rng(9)), (2, 3, 7)),  # 1-wide
+        (lambda cls: cls(1, 4, 9, 1, rng=np.random.default_rng(9)), (2, 1, 9)),  # full span
+        (lambda cls: cls(3, 2, 1, 1, 2, rng=np.random.default_rng(9)), (2, 3, 5, 4)),  # 1x1
+    ], ids=["conv1d_kernel1", "conv1d_full_span", "dilated_1x1"])
+    def test_conv_whose_lowering_is_a_view_of_its_input(self, factory, shape):
+        pair = {2: (OldConv1d, Conv1d), 3: (OldDilatedConv2d, DilatedConv2d)}[len(shape) - 1]
+        old, new = (factory(cls) for cls in pair)
+        rng = np.random.default_rng(55)
+        x = rng.standard_normal(shape)
+        x.flags.writeable = False
+        kept = x.copy()
+        assert not im2col_batch(x, *new._lowering).flags.writeable
+        grad = rng.standard_normal(new.forward(x).shape)
+        _pair(old, new, x, grad)
+        assert_bitwise(x, kept, "x")
+
     # blocks of BLOCK_BYTES // 4 bytes of [4, 20] samples
     _DW_BLOCK = layers_module.BLOCK_BYTES // (4 * 4 * 20 * np.dtype(FLOAT).itemsize)
 
@@ -1041,8 +1073,9 @@ class TestChunkedLoweringBitwise:
         assert_bitwise(old.forward(x), new.forward(x), "eval y")
         old.forward(x, train=True)
         new.forward(x, train=True)
-        old.backward(grad, input_grad=False)
-        assert new.backward(grad, input_grad=False) is None
+        old.input_grad = new.input_grad = False
+        old.backward(grad)
+        assert new.backward(grad) is None
         assert_bitwise(old.grad_weight, new.grad_weight, "grad_weight without dx")
 
     @staticmethod

@@ -143,17 +143,22 @@ class TestBuildValidation:
             build_model(broken, seed=0)
 
 
-    @pytest.mark.parametrize("first", [ExtractorLayerSpec("dw", kernel=26, stride=10),
-                                       ExtractorLayerSpec("pw", out_channels=16)],
-                             ids=["dw", "pw"])
-    def test_extractor_must_start_with_a_standard_conv(self, first):
-        # Model.backward skips the waveform gradient, which only a Conv1d can skip;
-        # a dw or pw first layer used to build and then fail in backward with a TypeError
+    def test_extractor_may_start_with_a_depthwise_conv(self):
+        # only a standard conv skips the waveform gradient; a dw layer computes it and
+        # the walk drops it
         cfg = desk_profile()
-        broken = dataclasses.replace(cfg, extractor=(first, *cfg.extractor[1:]))
-        for build in (shape_trace, build_model):
-            with pytest.raises(ConfigurationError, match=r"^extractor\.0: .*'conv'"):
-                build(broken)
+        cfg = dataclasses.replace(cfg, extractor=(ExtractorLayerSpec("dw", kernel=26, stride=10),
+                                                  *cfg.extractor[1:]))
+        model = build_model(cfg, seed=0)
+        assert isinstance(model.extractor.layers[0], DepthwiseConv1d)
+        rng = np.random.default_rng(11)
+        xs = rng.standard_normal((2, cfg.frames_per_segment, cfg.frame_length))
+        value, _, grads = model.loss_and_grads(xs, np.array([0, 2]))
+        RmsProp(model.named_params()).step(grads)
+        assert np.isfinite(value)
+        for name, p in model.named_params().items():
+            assert np.isfinite(grads[name]).all() and np.isfinite(p).all(), name
+        assert np.abs(grads["extractor.0.kernels"]).sum() > 0
 
     def test_unknown_pool_kind_names_its_stage(self):
         cfg = desk_profile()
@@ -290,7 +295,7 @@ def _hand_glued_train_pass(model, xs, labels):
     value = model.head.loss(probs, labels)
     dflat = model.classifier.backward(model.head.backward(labels))
     dfeats = model.dilated.backward(dflat).reshape(feats.shape)
-    model.extractor.backward(dfeats, input_grad=False)
+    model.extractor.backward(dfeats)
     return value, probs, model.named_grads()
 
 

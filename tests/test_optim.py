@@ -188,8 +188,8 @@ class TestTraining:
 
     def test_mixed_framing_rejected_naming_the_item(self):
         desk, paper = desk_profile(), paper_profile()
-        items = [frame_segment(np.zeros(desk.segment_samples), desk, label=0),
-                 frame_segment(np.zeros(desk.segment_samples), desk, label=1),
-                 frame_segment(np.zeros(paper.segment_samples), paper, label=2)]
+        items = [frame_segment(np.zeros(desk.hop * desk.frames_per_segment), desk, label=0),
+                 frame_segment(np.zeros(desk.hop * desk.frames_per_segment), desk, label=1),
+                 frame_segment(np.zeros(paper.hop * paper.frames_per_segment), paper, label=2)]
         with pytest.raises(ShapeError, match="item 2 is framed as"):
             stack_dataset(items)

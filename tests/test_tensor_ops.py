@@ -19,27 +19,27 @@ class TestIm2col:
 
     def test_length6_kernel3_stride2(self):
         # floor((6-3)/2)+1 = 2 columns of 3 values
-        cols = im2col_batch(np.arange(6.0)[None, None], (3,), (2,))[0]
+        cols = im2col_batch(np.arange(6.0)[None, None], (3,), (2,), (1,))[0]
         assert cols.shape == (3, 2)
         assert cols.T.tolist() == [[0, 1, 2], [2, 3, 4]]
 
     def test_kernel1_is_identity_lowering(self):
         x = np.arange(8.0)
-        cols = im2col_batch(x[None, None], (1,), (1,))[0]
+        cols = im2col_batch(x[None, None], (1,), (1,), (1,))[0]
         assert cols.shape == (1, 8)
         assert np.array_equal(cols[0], x)
 
     def test_2d_dilated_output_grid(self):
         # heights: 5 - ((3-1)*2 + 1) + 1 = 1; widths: 5 - 3 + 1 = 3
         x = np.arange(25.0).reshape(5, 5)
-        cols = im2col_batch(x[None, None], (3, 3), dilations=(2, 1))[0]
+        cols = im2col_batch(x[None, None], (3, 3), (1, 1), (2, 1))[0]
         assert cols.shape == (9, 3)
         # first column: rows 0,2,4 x cols 0,1,2
         assert cols[:, 0].tolist() == [0, 1, 2, 10, 11, 12, 20, 21, 22]
 
     def test_dilated_kernel_too_large(self):
         with pytest.raises(ShapeError):
-            im2col_batch(np.zeros((1, 1, 5)), (3,), dilations=(3,))  # span 7 > 5
+            im2col_batch(np.zeros((1, 1, 5)), (3,), (1,), (3,))  # span 7 > 5
 
     def test_conv_output_length_formula(self):
         assert conv_output_length(6, 3, 2) == 2
@@ -68,7 +68,7 @@ class TestDirectVsIm2colGemm:
             w = rng.standard_normal((c_out, c_in, k))
             b = rng.standard_normal(c_out)
             direct = reference.conv1d_direct(x, w, b, stride)
-            cols = im2col_batch(x[None], (k,), (stride,))[0]
+            cols = im2col_batch(x[None], (k,), (stride,), (1,))[0]
             lowered = w.reshape(c_out, -1) @ cols + b[:, None]
             assert np.max(np.abs(direct - lowered)) < 1e-12
 
@@ -79,7 +79,7 @@ class TestDirectVsIm2colGemm:
             w = rng.standard_normal((3, 2, 3, 3))
             b = rng.standard_normal(3)
             direct = reference.dilated_conv2d_direct(x, w, b, dil)
-            cols = im2col_batch(x[None], (3, 3), dilations=(dil, 1))[0]
+            cols = im2col_batch(x[None], (3, 3), (1, 1), (dil, 1))[0]
             lowered = (w.reshape(3, -1) @ cols + b[:, None]).reshape(direct.shape)
             assert np.max(np.abs(direct - lowered)) < 1e-12
 
